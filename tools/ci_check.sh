@@ -52,7 +52,11 @@
 # e2e-budget-exceeded route-deadline diagnostic fires; and the simulation
 # gate (ctest label "sim"): the Section VII reconstruction compared
 # across H-FSC and H-PFQ plus a timed-churn smoke under the invariant
-# auditor (the 100k-flow churn soak rides the opt-in "soak" label).
+# auditor (the 100k-flow churn soak rides the opt-in "soak" label); and
+# the golden-corpus gate (ctest label "golden"): every scenario file
+# through every scheduler family, pinned to the state digest and hashes
+# of the JSON report and table in tests/golden/scenarios.txt.  On a
+# mismatch the test prints the cp command that adopts the new rows.
 #
 # The `tidy` stage runs clang-tidy (.clang-tidy at the repo root, with
 # WarningsAsErrors) over src/ tools/ bench/ against a compile_commands
@@ -111,6 +115,9 @@ case "${what}" in
     echo "=== Release: simulation gate (Section VII + churn smoke) ==="
     ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
       -L sim
+    echo "=== Release: scenario golden corpus ==="
+    ctest --test-dir "${repo}/build-ci-release" --output-on-failure \
+      -L golden
     echo "=== Release: perf smoke vs committed baseline ==="
     # A focused smoke run of the headline combination, compared against
     # the committed trajectory: > 10% regression warns, and fails the

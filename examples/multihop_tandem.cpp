@@ -4,15 +4,20 @@
 // paper builds on): if every switch on a path runs H-FSC and grants a
 // session the same curve, the end-to-end delay is bounded by roughly the
 // sum of the per-hop bounds — regardless of cross traffic joining at each
-// hop.  This example pushes a voice session through a 4-hop tandem with
-// fresh greedy cross traffic at every hop and prints the end-to-end delay
-// under H-FSC versus FIFO.
+// hop.  This example routes a voice session through a 4-node linear
+// Topology (sim/topology.hpp) and prints the end-to-end delay under H-FSC
+// versus FIFO.  Only the voice class is routed: the greedy cross traffic
+// at every hop is local to that hop, so each node sees fresh competition.
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/hfsc.hpp"
 #include "sched/fifo.hpp"
-#include "sim/tandem.hpp"
 #include "sim/sources.hpp"
+#include "sim/topology.hpp"
 #include "util/stats.hpp"
 
 using namespace hfsc;
@@ -29,26 +34,30 @@ struct Result {
   std::size_t delivered;
 };
 
-Result run(Tandem::SchedFactory factory) {
+Result run(const std::function<std::unique_ptr<Scheduler>()>& make) {
   EventQueue ev;
-  Tandem tandem(ev, kHops, kLinkRate, std::move(factory));
-  CbrSource voice(kVoice, kbps(64), 160, 0, kEnd);
-  voice.install(ev, tandem.ingress());
-  // Fresh greedy cross traffic enters at every hop (class 2).
+  Topology topo(ev);
+  std::vector<Topology::Hop> hops;
+  // Fresh greedy cross traffic enters at every hop (class 2, unrouted).
   std::vector<std::unique_ptr<GreedySource>> cross;
   for (std::size_t h = 0; h < kHops; ++h) {
+    const auto n = topo.add_node("hop" + std::to_string(h), kLinkRate, make());
+    hops.push_back({n, kVoice});
     cross.push_back(std::make_unique<GreedySource>(2, 1500, 6, 0, kEnd));
-    cross.back()->install(ev, tandem.hop(h));
+    cross.back()->install(ev, topo.link(n));
   }
-  ev.run_until(kEnd + msec(500));
-  return Result{tandem.e2e_mean_ms(kVoice), tandem.e2e_max_ms(kVoice),
-                tandem.delivered(kVoice)};
+  const std::size_t route = topo.add_route(std::move(hops));
+  CbrSource voice(kVoice, kbps(64), 160, 0, kEnd);
+  voice.install(ev, topo.link(0));
+  topo.run(kEnd + msec(500));
+  const SampleSet& e2e = topo.e2e_delay_ms(route);
+  return Result{e2e.mean(), e2e.max(), e2e.count()};
 }
 
 }  // namespace
 
 int main() {
-  std::printf("4-hop tandem, 10 Mb/s links, greedy cross traffic at every "
+  std::printf("4-hop path, 10 Mb/s links, greedy cross traffic at every "
               "hop; voice = 64 kb/s, per-hop target 5 ms\n\n");
   const Result fifo = run([] { return std::make_unique<Fifo>(); });
   const Result hfsc = run([] {

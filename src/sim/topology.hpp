@@ -1,5 +1,5 @@
 // Routed multi-node simulation core: the topology-first generalization
-// of Simulator (one link) and Tandem (a fixed chain).
+// of Simulator (one link); a linear chain of nodes is one route.
 //
 // A Topology is a set of named nodes, each owning a Scheduler driving a
 // Link plus a FlowTracker, wired by per-class routes: the departure of a
@@ -10,8 +10,8 @@
 //
 // End-to-end accounting is keyed on the explicit (route, seq) identity
 // of each packet — equality compares the full pair, never a folded
-// 64-bit key, so distinct packets cannot alias (the collision Tandem
-// historically had with `seq ^ (cls << 48)` once seq crossed 2^48).
+// 64-bit key, so distinct packets cannot alias (a folded key such as
+// `seq ^ (route << 48)` collides once seq crosses 2^48).
 // Duplicate (route, seq) pairs — two sources feeding the same class each
 // number their own packets from zero — are handled FIFO per key, which
 // matches the per-class FIFO order every scheduler family preserves.

@@ -298,7 +298,7 @@ struct ScenarioResult {
   // H-FSC, which expresses the full spec).
   std::vector<std::string> notes;
   // H-FSC state digest after the run (first node; 0 for other families) —
-  // the refactor-equivalence tests pin on it.
+  // the golden corpus (tests/golden/scenarios.txt) pins on it.
   std::uint64_t state_digest = 0;
   // Timed class creations refused by admission control (the flash-crowd
   // counter; classes, not packets).

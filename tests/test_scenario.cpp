@@ -21,6 +21,8 @@ TEST(ScenarioUnits, Rates) {
   EXPECT_THROW(parse_rate("10"), std::runtime_error);
   EXPECT_THROW(parse_rate("fast"), std::runtime_error);
   EXPECT_THROW(parse_rate("10MBps"), std::runtime_error);
+  EXPECT_THROW(parse_rate("999999999999999999999Gbps"), std::runtime_error);
+  EXPECT_THROW(parse_rate("1.5.0Mbps"), std::runtime_error);
 }
 
 TEST(ScenarioUnits, Times) {
@@ -31,6 +33,9 @@ TEST(ScenarioUnits, Times) {
   EXPECT_EQ(parse_time("0.5s"), msec(500));
   EXPECT_THROW(parse_time("5"), std::runtime_error);
   EXPECT_THROW(parse_time("5minutes"), std::runtime_error);
+  // Past 2^64 ns the float-to-integer conversion would be undefined.
+  EXPECT_THROW(parse_time("99999999999999999999s"), std::runtime_error);
+  EXPECT_THROW(parse_time("1.2.3ms"), std::runtime_error);
 }
 
 TEST(ScenarioUnits, Bytes) {
@@ -103,6 +108,11 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   expect_error("duration 1s\nclass a root ls linear 1Mbps\n", "missing link");
   expect_error("link 1Mbps\nclass a root ls linear 1Mbps\n",
                "missing duration");
+  // Too large for the 64-bit field, or a second decimal point (which
+  // std::stod would silently truncate): an error at the directive's line.
+  expect_error("link 10Mbps\nduration 99999999999999999999s\n",
+               "line 2: time out of range: 99999999999999999999s");
+  expect_error("link 10Mbps\nduration 1.2.3ms\n", "line 2: bad time: 1.2.3ms");
 }
 
 TEST(ScenarioParse, RejectsZeroRateServiceCurves) {

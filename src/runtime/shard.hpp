@@ -28,8 +28,9 @@
 // worker only serves while its local virtual clock is below the minimum
 // frontier (conservative parallel-discrete-event rule), so per-packet
 // rt-delay measurements are sound under arbitrary real-thread
-// interleavings.  With no producers registered the horizon is infinite
-// (the bench's steady-state mode).
+// interleavings.  With no producers registered the horizon is infinite:
+// the worker serves its backlog under the merge rule alone, and no
+// dequeue waits on a frontier.
 #pragma once
 
 #include <atomic>
@@ -69,14 +70,11 @@ const char* to_string(ShardDeathPoint p) noexcept;
 struct ShardConfig {
   RuntimeOptions runtime{};
   std::size_t ring_capacity = 1024;
-  // Save a checkpoint every N ring pops; 0 = never (bench mode).
+  // Save a checkpoint every N ring pops; 0 = never.
   std::size_t checkpoint_every_pops = 8192;
   // Dequeues per loop iteration.  Smaller = finer-grained virtual time
   // (tighter delay measurement); larger = more throughput.
   std::size_t serve_burst = 16;
-  // Steady-state bench mode: every dequeued packet is immediately
-  // re-enqueued to the same class, and the frontier gate is ignored.
-  bool refill = false;
 };
 
 class Shard {
@@ -221,10 +219,8 @@ class Shard {
 
   // Worker-local (no synchronization needed).
   TimeNs local_now_ = 0;
-  std::uint64_t refill_seq_ = 1u << 20;
   std::size_t pops_since_ckpt_ = 0;
   std::vector<bool> rt_leaf_;
-  std::vector<Packet> batch_buf_;  // refill-mode batched-drain scratch
 
   // Flags and the stats segment.
   std::atomic<bool> abort_{false};

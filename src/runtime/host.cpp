@@ -184,30 +184,6 @@ std::optional<Packet> RuntimeHost::dequeue(TimeNs now) {
   return p;
 }
 
-std::size_t RuntimeHost::dequeue_batch(TimeNs now, std::size_t max_pkts,
-                                       std::vector<Packet>& out) {
-  std::size_t served = 0;
-  while (served < max_pkts) {
-    if (opts_.governor_enabled && now >= next_sample_) {
-      // A sample is due: its plan may mutate the scheduler, so serve one
-      // packet and sample, exactly like the single-dequeue path.  With a
-      // positive sample interval this runs at most once per batch.
-      std::optional<Packet> p = dequeue(now);
-      if (!p) break;
-      out.push_back(*p);
-      ++served;
-      continue;
-    }
-    // No sample can fire before `now` moves, so the per-packet
-    // maybe_sample calls the single path would make are all no-ops and
-    // the core batch is state-identical to the remaining singles.
-    const std::size_t got = sched_.dequeue_batch(now, max_pkts - served, out);
-    served += got;
-    break;  // the core stops only at max_pkts or an empty/idle scheduler
-  }
-  return served;
-}
-
 std::uint64_t RuntimeHost::total_drops() const {
   std::uint64_t n = 0;
   for (ClassId c = 1; c < sched_.num_classes(); ++c) {

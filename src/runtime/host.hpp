@@ -116,13 +116,6 @@ class RuntimeHost {
   // sampling.  Inherits the core's never-throws contract.
   void enqueue(TimeNs now, Packet pkt);
   std::optional<Packet> dequeue(TimeNs now);
-  // Batched drain: appends up to max_pkts packets to `out` and returns
-  // how many were served.  Produces exactly the state k single dequeue()
-  // calls at the same `now` would — when the governor is due to sample
-  // it falls back to the per-packet cadence so interventions land
-  // between the same two packets.
-  std::size_t dequeue_batch(TimeNs now, std::size_t max_pkts,
-                            std::vector<Packet>& out);
 
   // --- Persistence ---------------------------------------------------------
   // Writes a format-v2 snapshot into checkpoint_image() and compacts

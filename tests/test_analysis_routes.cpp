@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/analyzer.hpp"
 #include "sim/scenario.hpp"
@@ -102,10 +103,10 @@ TEST(AnalysisRoutes, BudgetExceededAnchorsAtTheDeadlineLine) {
 
 TEST(AnalysisRoutes, RouteWithoutEnvelopeGetsANoteAtTheRouteLine) {
   std::string text(kTwoHop);
-  const auto pos = text.find("  envelope voice 160 256kbps\n");
+  const std::string_view envelope = "  envelope voice 160 256kbps";
+  const auto pos = text.find(envelope);
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::string("  envelope voice 160 256kbps\n").size(),
-               "\n");  // keep the line count stable
+  text.erase(pos, envelope.size());  // keep the line count stable
   const auto dpos = text.find("deadline voice 20ms\n");
   ASSERT_NE(dpos, std::string::npos);
   text.erase(dpos);
@@ -118,10 +119,10 @@ TEST(AnalysisRoutes, RouteWithoutEnvelopeGetsANoteAtTheRouteLine) {
 
 TEST(AnalysisRoutes, DeadlineOnRoutedFlowWithoutEnvelopeIsUnverifiable) {
   std::string text(kTwoHop);
-  const auto pos = text.find("  envelope voice 160 256kbps\n");
+  const std::string_view envelope = "  envelope voice 160 256kbps";
+  const auto pos = text.find(envelope);
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, std::string("  envelope voice 160 256kbps\n").size(),
-               "\n");
+  text.erase(pos, envelope.size());  // keep the line count stable
   const AnalysisReport r = analyze(parse_text(text));
   const Diagnostic d = find_diag(r, "deadline-unverifiable");
   EXPECT_EQ(d.severity, Severity::kWarning);

@@ -27,7 +27,7 @@ namespace hfsc {
 namespace {
 
 struct FlowGen {
-  std::string name;
+  std::size_t id = 0;  // scenario class name is "f<id>"
   std::size_t first_hop = 0;  // route covers [first_hop, num_nodes)
   RateBps rate = 0;
   Bytes pkt = 0;
@@ -51,7 +51,7 @@ std::string random_scenario(std::mt19937_64& rng, std::size_t num_nodes) {
   std::vector<FlowGen> flows(static_cast<std::size_t>(num_flows(rng)));
   for (std::size_t i = 0; i < flows.size(); ++i) {
     FlowGen& f = flows[i];
-    f.name = "f" + std::to_string(i);
+    f.id = i;
     // Flow 0 spans the whole chain so every node carries traffic;
     // later flows may enter mid-chain (routes need >= 2 hops).
     f.first_hop =
@@ -73,18 +73,18 @@ std::string random_scenario(std::mt19937_64& rng, std::size_t num_nodes) {
     os << "node n" << n << " " << as_bps(rates[n]) << "\n";
     for (const FlowGen& f : flows) {
       if (f.first_hop > n) continue;
-      os << "  class " << f.name << " root rt udr " << 2 * f.pkt << " "
+      os << "  class f" << f.id << " root rt udr " << 2 * f.pkt << " "
          << f.dwell << "ns " << as_bps(f.rate) << " ls linear "
          << as_bps(f.rate) << "\n";
       if (f.first_hop == n) {
-        os << "  envelope " << f.name << " " << 2 * f.pkt << " "
+        os << "  envelope f" << f.id << " " << 2 * f.pkt << " "
            << as_bps(f.rate) << "\n";
       }
     }
     os << "end\n";
   }
   for (const FlowGen& f : flows) {
-    os << "route " << f.name;
+    os << "route f" << f.id;
     for (std::size_t n = f.first_hop; n < num_nodes; ++n) os << " n" << n;
     os << "\n";
   }
@@ -92,7 +92,7 @@ std::string random_scenario(std::mt19937_64& rng, std::size_t num_nodes) {
     // One CBR source per flow: rate equal to the envelope rate, packet
     // no larger than half the declared burst — conformant by
     // construction.
-    os << "source cbr " << f.name << " " << as_bps(f.rate) << " " << f.pkt
+    os << "source cbr f" << f.id << " " << as_bps(f.rate) << " " << f.pkt
        << " 0s 400ms\n";
   }
   return os.str();

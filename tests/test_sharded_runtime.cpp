@@ -424,6 +424,51 @@ TEST(ShardedRuntime, ConservationHoldsWithNoFaults) {
   rt.stop();
 }
 
+// The producers' frontier is the worker's serve condition: while a
+// registered producer's frontier sits below every stamp it pushed, the
+// workers feed their hosts but never dequeue, however long they spin.
+// Publishing past the stamps releases every packet.
+TEST(ShardedRuntime, FrontierGateHoldsServiceUntilPublished) {
+  const int kShards = 2;
+  ShardedRuntime rt(sharded_options(kShards), sharded_spec(kShards));
+  std::vector<ClassId> ids;
+  for (int s = 0; s < kShards; ++s) {
+    ids.push_back(rt.global_id("rt" + std::to_string(s)));
+    ids.push_back(rt.global_id("bulk" + std::to_string(s)));
+  }
+  const int prod = rt.register_producer();  // frontier left at 0
+  rt.start();
+
+  TimeNs now = 0;
+  std::uint64_t seq = 1;
+  std::uint64_t pushed = 0;
+  for (int iter = 0; iter < 50; ++iter) {
+    now += usec(100);
+    for (const ClassId id : ids) {
+      // 100 packets per shard: well inside each 256-slot ring.
+      ASSERT_TRUE(rt.enqueue(now, Packet{id, 400, now, seq++}));
+      ++pushed;
+    }
+  }
+
+  for (int look = 0; look < 5; ++look) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(rt.shard(s).sent_total(), 0u) << "shard " << s;
+    }
+    const ShardedRuntime::Totals held = rt.quiesce_totals();
+    EXPECT_EQ(held.backlog, pushed) << held.to_string();
+    EXPECT_EQ(held.sent, 0u) << held.to_string();
+  }
+
+  const ShardedRuntime::Totals t = drain(rt, prod, now);
+  EXPECT_TRUE(t.conserved()) << t.to_string();
+  EXPECT_EQ(t.sent, pushed) << t.to_string();
+  EXPECT_EQ(t.backlog, 0u) << t.to_string();
+  EXPECT_EQ(t.restarts, 0u) << t.to_string();
+  rt.stop();
+}
+
 TEST(ShardedRuntime, WorkerKillHealsUnderLoadDigestIdentical) {
   const int kShards = 2;
   ShardedRuntime rt(sharded_options(kShards), sharded_spec(kShards));

@@ -1,11 +1,11 @@
 // Differential fuzz across the three EligibleSet implementations.
 //
-// The eligible-set ablation (bench/bench_throughput.cpp) only measures a
-// like-for-like comparison if all three kinds are observably identical:
-// same winner from min_deadline_eligible() — *including* exact deadline
-// ties, which must break toward the smallest ClassId — and the same
-// next_eligible_time() under the shared contract (0 once eligible, min
-// pending e otherwise, kTimeInfinity when empty).
+// The eligible-set ablation (bench/bench_eligible_ablation.cpp) only
+// measures a like-for-like comparison if all three kinds are observably
+// identical: same winner from min_deadline_eligible() — *including*
+// exact deadline ties, which must break toward the smallest ClassId —
+// and the same next_eligible_time() under the shared contract (0 once
+// eligible, min pending e otherwise, kTimeInfinity when empty).
 //
 // Unlike tests/test_eligible_set.cpp's equivalence fuzz (which only
 // compares the winning deadline *value*), this one drives identical

@@ -64,18 +64,13 @@ ClassId Hfsc::add_class(ClassId parent, ClassConfig cfg) {
   ensure(parent == kRootClass || hot_[parent].has_ls(), Errc::kMissingCurve,
          "interior classes need a link-sharing curve");
   check_config(cfg, /*leaf=*/true);
-  if (admission_ && !in_txn_apply_) {
-    std::vector<ServiceCurve> curves = leaf_rt_curves();
-    if (parent != kRootClass && nodes_[parent].children.empty() &&
-        hot_[parent].has_rt()) {
-      // The parent turns interior; its rt curve becomes inert.
-      curves.erase(
-          std::find(curves.begin(), curves.end(), nodes_[parent].cfg.rt));
-    }
-    if (!cfg.rt.is_zero()) curves.push_back(cfg.rt);
-    apply_admission(curves);
-  }
   maybe_self_check();
+  // A leaf parent turns interior; its rt curve becomes inert.
+  admit_swap(parent != kRootClass && nodes_[parent].children.empty() &&
+                     hot_[parent].has_rt()
+                 ? &nodes_[parent].cfg.rt
+                 : nullptr,
+             cfg.rt.is_zero() ? nullptr : &cfg.rt);
 
   Node n;
   n.cfg = cfg;
@@ -275,15 +270,11 @@ void Hfsc::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
   HotClass& h = hot_[cls];
   ClassCurves& cc = curves_[cls];
   check_config(cfg, /*leaf=*/n.children.empty());
-  if (admission_ && !in_txn_apply_ && n.children.empty()) {
-    std::vector<ServiceCurve> curves = leaf_rt_curves();
-    if (h.has_rt()) {
-      curves.erase(std::find(curves.begin(), curves.end(), n.cfg.rt));
-    }
-    if (!cfg.rt.is_zero()) curves.push_back(cfg.rt);
-    apply_admission(curves);
-  }
   maybe_self_check();
+  if (n.children.empty()) {
+    admit_swap(h.has_rt() ? &n.cfg.rt : nullptr,
+               cfg.rt.is_zero() ? nullptr : &cfg.rt);
+  }
   now = clamp_now(now);
 
   const bool had_ls = h.has_ls();
@@ -336,20 +327,14 @@ void Hfsc::delete_class(ClassId cls) {
   Node& n = nodes_[cls];
   HotClass& h = hot_[cls];
   ensure(n.children.empty(), Errc::kHasChildren, "delete children first");
-  if (admission_ && !in_txn_apply_) {
-    std::vector<ServiceCurve> curves = leaf_rt_curves();
-    if (h.has_rt()) {
-      curves.erase(std::find(curves.begin(), curves.end(), n.cfg.rt));
-    }
-    if (h.parent != kRootClass && nodes_[h.parent].children.size() == 1 &&
-        hot_[h.parent].has_rt()) {
-      // The parent becomes a leaf again; its rt guarantee re-activates
-      // and must fit back under the link curve.
-      curves.push_back(nodes_[h.parent].cfg.rt);
-    }
-    apply_admission(curves);
-  }
   maybe_self_check();
+  // The parent may become a leaf again; its rt guarantee then
+  // re-activates and must fit back under the link curve.
+  admit_swap(h.has_rt() ? &n.cfg.rt : nullptr,
+             h.parent != kRootClass && nodes_[h.parent].children.size() == 1 &&
+                     hot_[h.parent].has_rt()
+                 ? &nodes_[h.parent].cfg.rt
+                 : nullptr);
 
   // Purge queued packets, counting them as drops.
   while (queues_.has(cls)) {
@@ -508,22 +493,21 @@ std::vector<ServiceCurve> Hfsc::leaf_rt_curves() const {
   return out;
 }
 
-void Hfsc::apply_admission(const std::vector<ServiceCurve>& curves) {
-  AdmissionControl fresh(admission_->link_rate());
-  for (const ServiceCurve& sc : curves) {
-    if (!fresh.admit(sc)) {
-      ++admission_rejections_;
-      throw Error(
-          Errc::kAdmissionRejected,
-          "real-time curve " + to_string(sc) +
-              " pushes the aggregate above the link curve (link rate " +
-              std::to_string(fresh.link_rate()) + " B/s, " +
-              std::to_string(fresh.utilization() * 100.0) +
-              "% already reserved); lower the curve, delete another "
-              "real-time class, or raise the admission link rate");
-    }
-  }
-  *admission_ = std::move(fresh);
+void Hfsc::admit_swap(const ServiceCurve* out, const ServiceCurve* in) {
+  if (!admission_ || in_txn_apply_) return;
+  if (out) admission_->release(*out);
+  if (!in) return;  // releasing alone never breaks feasibility
+  const double reserved = admission_->utilization();
+  if (admission_->admit(*in)) return;
+  if (out) admission_->add(*out);
+  ++admission_rejections_;
+  throw Error(Errc::kAdmissionRejected,
+              "real-time curve " + to_string(*in) +
+                  " pushes the aggregate above the link curve (link rate " +
+                  std::to_string(admission_->link_rate()) + " B/s, " +
+                  std::to_string(reserved * 100.0) +
+                  "% already reserved); lower the curve, delete another "
+                  "real-time class, or raise the admission link rate");
 }
 
 void Hfsc::enable_admission_control(RateBps link_rate) {

@@ -133,7 +133,7 @@ class Hfsc final : public Scheduler {
   // --- Transactional reconfiguration --------------------------------------
   // A Txn stages any number of mutations and applies them atomically at
   // commit(): the whole batch is first validated (including the admission
-  // check when enabled) against a shadow of the hierarchy, so a failing
+  // check when enabled) against an overlay of the hierarchy, so a failing
   // commit throws hfsc::Error and leaves the live scheduler bit-for-bit
   // untouched.  Staged add_class calls return the ids the classes will
   // have after a successful commit; later staged ops may refer to them.
@@ -158,7 +158,7 @@ class Hfsc final : public Scheduler {
     void delete_class(ClassId cls);
     void set_queue_limit(ClassId cls, std::size_t max_packets);
 
-    // Validates the whole batch against a shadow of the live hierarchy,
+    // Validates the whole batch against an overlay of the live hierarchy,
     // then applies it.  Throws hfsc::Error on the first invalid op or on
     // admission rejection, leaving the scheduler untouched and the Txn
     // open (fix or rollback).  On success the Txn is closed.
@@ -173,7 +173,6 @@ class Hfsc final : public Scheduler {
     struct Op;
     struct Shadow;
 
-    Shadow make_shadow() const;
     // Replays one op onto the shadow, throwing on any rule the live
     // mutators would reject; returns the id assigned (adds only).
     static ClassId replay(Shadow& sh, const Op& op);
@@ -181,6 +180,7 @@ class Hfsc final : public Scheduler {
     Hfsc* s_;
     std::vector<Op> ops_;
     std::size_t base_classes_;  // num_classes() at begin; id prediction base
+    std::size_t adds_ = 0;      // staged add_class ops (next id offset)
     bool open_ = true;
   };
 
@@ -449,11 +449,13 @@ class Hfsc final : public Scheduler {
   static void check_config(const ClassConfig& cfg, bool leaf);
   // The rt curves of all live leaves — the set the admission check gates.
   std::vector<ServiceCurve> leaf_rt_curves() const;
-  // Re-admits `curves` into a fresh AdmissionControl and installs it, or
-  // throws Error{kAdmissionRejected} (counting the rejection) leaving the
-  // previous bookkeeping in place.  No-op when admission is disabled or a
-  // Txn commit is mid-apply (the commit validated the final state).
-  void apply_admission(const std::vector<ServiceCurve>& curves);
+  // Admission gate of one direct mutation: swaps `out` (the leaf rt curve
+  // it retires, or nullptr) for `in` (the one it activates, or nullptr)
+  // in the ledger, or throws Error{kAdmissionRejected} (counting the
+  // rejection) leaving the ledger unchanged.  No-op when admission is
+  // disabled or a Txn commit is mid-apply (the commit validated the
+  // final state and already updated the ledger).
+  void admit_swap(const ServiceCurve* out, const ServiceCurve* in);
   // Scans for newly starved leaves; rate-limited to every horizon/4.
   void maybe_watchdog(TimeNs now);
   // Clamps a data-path clock that ran backwards, counting the anomaly.

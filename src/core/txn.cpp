@@ -1,14 +1,22 @@
 // Hfsc::Txn — transactional live reconfiguration.
 //
 // A Txn records mutations without touching the scheduler.  commit()
-// replays the whole batch onto a Shadow — a minimal structural model of
-// the hierarchy (parent links, configs, child counts, backlog flags) —
-// enforcing exactly the rules the live mutators enforce, plus the
-// admission check over the final state when admission control is on.
-// Only after every op validates does commit() apply the batch through
-// the live mutators, so any hfsc::Error leaves the scheduler bit-for-bit
+// replays the whole batch onto a Shadow — a copy-on-write overlay of the
+// hierarchy's structural model (parent links, rt curves, ls presence,
+// child counts, backlog flags) that reads through to the live tree and
+// stores only the classes the batch touches plus the classes it appends
+// — enforcing exactly the rules the live mutators enforce.  With
+// admission control on, the leaf rt curves the batch retires and
+// activates (deletes, renegotiations, parents turning interior or back
+// into leaves) are then applied to the live admission ledger as one
+// delta and checked once; a rejection undoes the delta.  Only after
+// every op validates does commit() apply the batch through the live
+// mutators, so any hfsc::Error leaves the scheduler bit-for-bit
 // untouched (tests/test_txn_atomicity_fuzz.cpp proves this by state
-// digest over >= 10k failing batches).
+// digest over >= 10k failing batches).  A commit costs O(batch) overlay
+// and ledger updates plus one O(D) feasibility check for D distinct rt
+// knees, independent of the number of classes; only the rejection path
+// scans the classes in id order, to name the offender.
 //
 // Ids for staged add_class calls are predicted: the live scheduler
 // assigns ids densely (nodes are never erased from the vector, only
@@ -16,7 +24,8 @@
 // prediction is checked at commit; direct adds made while the Txn was
 // open make it stale and commit throws Error{kTxnInvalid}.
 
-#include <algorithm>
+#include <unordered_map>
+#include <utility>
 
 #include "core/hfsc.hpp"
 
@@ -32,17 +41,96 @@ struct Hfsc::Txn::Op {
 };
 
 struct Hfsc::Txn::Shadow {
+  // What validation reads of a class: its rt curve (admission) and
+  // whether it has an ls curve (interior classes need one).
   struct SNode {
     ClassId parent = kRootClass;
-    ClassConfig cfg{};
+    ServiceCurve rt{};
     std::uint32_t children = 0;
+    bool has_ls = false;
     bool deleted = false;
     bool backlogged = false;
-  };
-  std::vector<SNode> nodes;
 
-  bool live(ClassId c) const noexcept {
-    return c > 0 && c < nodes.size() && !nodes[c].deleted;
+    // The rt curve the admission check counts for this class, if any.
+    const ServiceCurve* leaf_rt() const noexcept {
+      return !deleted && children == 0 && !rt.is_zero() ? &rt : nullptr;
+    }
+  };
+
+  const Hfsc& s;
+  std::size_t base;                             // live nodes_.size()
+  std::unordered_map<ClassId, SNode> touched;   // staged live classes
+  std::vector<SNode> added;                     // ids base, base + 1, ...
+
+  Shadow(const Hfsc& sched, std::size_t adds)
+      : s(sched), base(sched.nodes_.size()) {
+    added.reserve(adds);
+  }
+
+  SNode live_node(ClassId c) const {
+    const Node& n = s.nodes_[c];
+    return SNode{s.hot_[c].parent, n.cfg.rt,
+                 static_cast<std::uint32_t>(n.children.size()),
+                 s.hot_[c].has_ls(), n.deleted, s.queues_.has(c)};
+  }
+  std::size_t size() const noexcept { return base + added.size(); }
+  // The class as the batch has left it so far (c < size()).
+  SNode get(ClassId c) const {
+    if (c >= base) return added[c - base];
+    const auto it = touched.find(c);
+    return it != touched.end() ? it->second : live_node(c);
+  }
+  // Copy-on-write access for a staged mutation (c < size()).
+  SNode& mut(ClassId c) {
+    if (c >= base) return added[c - base];
+    auto it = touched.find(c);
+    if (it == touched.end()) it = touched.emplace(c, live_node(c)).first;
+    return it->second;
+  }
+  bool live(ClassId c) const {
+    return c > 0 && c < size() && !get(c).deleted;
+  }
+
+  // Phase 2: swap the batch's retired leaf rt curves for its activated
+  // ones in the live ledger and check the aggregate once.  On rejection
+  // the ledger is restored and the first class (in id order) whose curve
+  // pushes the running aggregate over the link is named.
+  void admit(AdmissionControl& ac, std::uint64_t& rejections) const {
+    swap(ac, /*forward=*/true);
+    if (ac.fits()) return;
+    swap(ac, /*forward=*/false);
+    ++rejections;
+    AdmissionControl scan(ac.link_rate());
+    for (ClassId c = 1; c < size(); ++c) {
+      const SNode sn = get(c);
+      const ServiceCurve* rt = sn.leaf_rt();
+      if (rt == nullptr || scan.admit(*rt)) continue;
+      throw Error(Errc::kAdmissionRejected,
+                  "committing this batch would put real-time curve " +
+                      to_string(*rt) + " (class " + std::to_string(c) +
+                      ") above the link curve; shrink the batch's rt "
+                      "curves or raise the admission link rate");
+    }
+    throw Error(Errc::kInvariantViolation,
+                "admission ledger rejected a batch whose classes fit");
+  }
+  // Replaces, in the ledger, each staged class's live leaf rt curve (if
+  // any) with its final one (if any); forward = false undoes that.
+  // Touched and appended classes are the only ones whose leaf rt curve
+  // can differ from the live tree's.
+  void swap(AdmissionControl& ac, bool forward) const {
+    auto one = [&](const ServiceCurve* was, const ServiceCurve* now) {
+      if (was && now && *was == *now) return;
+      if (!forward) std::swap(was, now);
+      if (was) ac.release(*was);
+      if (now) ac.add(*now);
+    };
+    for (const auto& [c, sn] : touched) {
+      if (c == kRootClass) continue;
+      const SNode was = live_node(c);
+      one(was.leaf_rt(), sn.leaf_rt());
+    }
+    for (const SNode& sn : added) one(nullptr, sn.leaf_rt());
   }
 };
 
@@ -54,57 +142,43 @@ Hfsc::Txn::~Txn() {
 
 Hfsc::Txn::Txn(Txn&& other) noexcept
     : s_(other.s_), ops_(std::move(other.ops_)),
-      base_classes_(other.base_classes_), open_(other.open_) {
+      base_classes_(other.base_classes_), adds_(other.adds_),
+      open_(other.open_) {
   other.open_ = false;
-}
-
-Hfsc::Txn::Shadow Hfsc::Txn::make_shadow() const {
-  Shadow sh;
-  sh.nodes.resize(s_->nodes_.size());
-  for (ClassId c = 0; c < s_->nodes_.size(); ++c) {
-    const Node& n = s_->nodes_[c];
-    Shadow::SNode& sn = sh.nodes[c];
-    sn.parent = s_->hot_[c].parent;
-    sn.cfg = n.cfg;
-    sn.children = static_cast<std::uint32_t>(n.children.size());
-    sn.deleted = n.deleted;
-    sn.backlogged = s_->queues_.has(c);
-  }
-  return sh;
 }
 
 ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
   switch (op.kind) {
     case Op::Kind::kAdd: {
-      ensure(op.cls < sh.nodes.size() &&
-                 (op.cls == kRootClass || sh.live(op.cls)),
+      ensure(op.cls < sh.size() && (op.cls == kRootClass || sh.live(op.cls)),
              Errc::kInvalidClass, "unknown or deleted parent class");
-      ensure(!sh.nodes[op.cls].backlogged, Errc::kHasBacklog,
+      const Shadow::SNode parent = sh.get(op.cls);
+      ensure(!parent.backlogged, Errc::kHasBacklog,
              "cannot add children under a class that queues packets");
-      ensure(op.cls == kRootClass || !sh.nodes[op.cls].cfg.ls.is_zero(),
-             Errc::kMissingCurve,
+      ensure(op.cls == kRootClass || parent.has_ls, Errc::kMissingCurve,
              "interior classes need a link-sharing curve");
       check_config(op.cfg, /*leaf=*/true);
-      Shadow::SNode sn;
-      sn.parent = op.cls;
-      sn.cfg = op.cfg;
-      sh.nodes.push_back(sn);
-      ++sh.nodes[op.cls].children;
-      return static_cast<ClassId>(sh.nodes.size() - 1);
+      sh.added.push_back(Shadow::SNode{op.cls, op.cfg.rt, 0,
+                                       !op.cfg.ls.is_zero(), false, false});
+      ++sh.mut(op.cls).children;
+      return static_cast<ClassId>(sh.size() - 1);
     }
     case Op::Kind::kChange: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      check_config(op.cfg, /*leaf=*/sh.nodes[op.cls].children == 0);
-      sh.nodes[op.cls].cfg = op.cfg;
+      Shadow::SNode& sn = sh.mut(op.cls);
+      check_config(op.cfg, /*leaf=*/sn.children == 0);
+      sn.rt = op.cfg.rt;
+      sn.has_ls = !op.cfg.ls.is_zero();
       return op.cls;
     }
     case Op::Kind::kDelete: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
-      ensure(sh.nodes[op.cls].children == 0, Errc::kHasChildren,
-             "delete children first");
-      sh.nodes[op.cls].deleted = true;
-      sh.nodes[op.cls].backlogged = false;
-      --sh.nodes[sh.nodes[op.cls].parent].children;
+      Shadow::SNode& sn = sh.mut(op.cls);
+      ensure(sn.children == 0, Errc::kHasChildren, "delete children first");
+      sn.deleted = true;
+      sn.backlogged = false;
+      const ClassId parent = sn.parent;
+      --sh.mut(parent).children;
       return op.cls;
     }
     case Op::Kind::kQueueLimit: {
@@ -117,10 +191,8 @@ ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
 
 ClassId Hfsc::Txn::add_class(ClassId parent, ClassConfig cfg) {
   ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  std::size_t adds = 0;
-  for (const Op& op : ops_) adds += op.kind == Op::Kind::kAdd;
   ops_.push_back(Op{Op::Kind::kAdd, parent, cfg, 0, 0});
-  return static_cast<ClassId>(base_classes_ + adds);
+  return static_cast<ClassId>(base_classes_ + adds_++);
 }
 
 void Hfsc::Txn::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
@@ -142,45 +214,26 @@ std::size_t Hfsc::Txn::num_ops() const noexcept { return ops_.size(); }
 
 void Hfsc::Txn::rollback() noexcept {
   ops_.clear();
+  adds_ = 0;
   open_ = false;
 }
 
 void Hfsc::Txn::commit() {
   ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ensure(s_->num_classes() == base_classes_ ||
-             std::none_of(ops_.begin(), ops_.end(),
-                          [](const Op& op) {
-                            return op.kind == Op::Kind::kAdd;
-                          }),
-         Errc::kTxnInvalid,
+  ensure(s_->num_classes() == base_classes_ || adds_ == 0, Errc::kTxnInvalid,
          "classes were added outside the transaction since begin(); the "
          "staged ids are stale — rollback and re-stage");
 
-  // Phase 1: validate the whole batch against a shadow of the live tree.
-  // Any throw here (or in the admission check below) leaves the scheduler
-  // untouched and the transaction open.
-  Shadow sh = make_shadow();
+  // Phase 1: validate the whole batch against an overlay of the live
+  // tree.  Any throw here (or in the admission check below) leaves the
+  // scheduler untouched and the transaction open.
+  Shadow sh(*s_, adds_);
   for (const Op& op : ops_) replay(sh, op);
 
   // Phase 2: admission over the final state — the sum of the surviving
-  // leaves' rt curves must stay below the link curve (Section II).
-  std::unique_ptr<AdmissionControl> fresh;
-  if (s_->admission_) {
-    fresh = std::make_unique<AdmissionControl>(s_->admission_->link_rate());
-    for (ClassId c = 1; c < sh.nodes.size(); ++c) {
-      const Shadow::SNode& sn = sh.nodes[c];
-      if (sn.deleted || sn.children != 0 || sn.cfg.rt.is_zero()) continue;
-      if (!fresh->admit(sn.cfg.rt)) {
-        ++s_->admission_rejections_;
-        throw Error(Errc::kAdmissionRejected,
-                    "committing this batch would put real-time curve " +
-                        to_string(sn.cfg.rt) +
-                        " (class " + std::to_string(c) +
-                        ") above the link curve; shrink the batch's rt "
-                        "curves or raise the admission link rate");
-      }
-    }
-  }
+  // leaves' rt curves must stay below the link curve (Section II).  On
+  // success the live ledger already holds the final state's curves.
+  if (s_->admission_) sh.admit(*s_->admission_, s_->admission_rejections_);
 
   // Phase 3: apply.  Validation mirrored every rule the live mutators
   // enforce, so none of these calls can throw; per-op admission gating
@@ -209,9 +262,9 @@ void Hfsc::Txn::commit() {
     throw;  // unreachable unless the scheduler was already corrupt
   }
   s_->in_txn_apply_ = false;
-  if (fresh) s_->admission_ = std::move(fresh);
   open_ = false;
   ops_.clear();
+  adds_ = 0;
   s_->maybe_self_check();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace hfsc {
 
@@ -395,34 +396,97 @@ std::optional<PiecewiseLinear> PiecewiseLinear::deconvolve(
   return acc;
 }
 
-bool AdmissionControl::admit(const ServiceCurve& sc) {
+namespace {
+
+// First entry of a sorted (key, value) vector whose key is not below k.
+template <typename Entries, typename Key, typename Less>
+auto lower_entry(Entries& v, const Key& k, Less less) {
+  return std::lower_bound(
+      v.begin(), v.end(), k,
+      [&](const auto& e, const Key& key) { return less(e.first, key); });
+}
+
+bool curve_less(const ServiceCurve& a, const ServiceCurve& b) noexcept {
+  if (a.m1 != b.m1) return a.m1 < b.m1;
+  if (a.d != b.d) return a.d < b.d;
+  return a.m2 < b.m2;
+}
+
+}  // namespace
+
+void AdmissionControl::shift(const ServiceCurve& sc, int sign) {
   assert(sc.is_supported());
-  const PiecewiseLinear cand =
-      sum_.sum(PiecewiseLinear::from_service_curve(sc));
-  if (!link_.dominates(cand)) return false;
-  sum_ = cand;
-  curves_.push_back(sc);
+  if (sign > 0) {
+    sum_m2_ += sc.m2;
+  } else {
+    sum_m2_ -= sc.m2;
+  }
+  if (sc.d == 0 || sc.m1 == sc.m2) return;  // linear: no knee
+  const __int128 delta = static_cast<__int128>(sc.m1) - sc.m2;
+  auto it = lower_entry(knees_, sc.d, std::less<TimeNs>());
+  if (it == knees_.end() || it->first != sc.d) {
+    it = knees_.insert(it, {sc.d, 0});
+  }
+  it->second += sign > 0 ? delta : -delta;
+  if (it->second == 0) knees_.erase(it);
+}
+
+void AdmissionControl::add(const ServiceCurve& sc) {
+  shift(sc, +1);
+  auto it = lower_entry(members_, sc, curve_less);
+  if (it == members_.end() || it->first != sc) {
+    it = members_.insert(it, {sc, 0});
+  }
+  ++it->second;
   ++admitted_count_;
-  return true;
+}
+
+bool AdmissionControl::admit(const ServiceCurve& sc) {
+  add(sc);
+  if (fits()) return true;
+  release(sc);
+  return false;
 }
 
 void AdmissionControl::release(const ServiceCurve& sc) {
-  const auto it = std::find(curves_.begin(), curves_.end(), sc);
-  ensure(it != curves_.end(), Errc::kInvalidArgument,
+  const auto it = lower_entry(members_, sc, curve_less);
+  ensure(it != members_.end() && it->first == sc, Errc::kInvalidArgument,
          "releasing a service curve that was never admitted: " +
              to_string(sc));
-  curves_.erase(it);
+  if (--it->second == 0) members_.erase(it);
   --admitted_count_;
-  // Recompute the sum (exact, avoids subtraction rounding drift).
-  sum_ = PiecewiseLinear();
-  for (const ServiceCurve& c : curves_) {
-    sum_ = sum_.sum(PiecewiseLinear::from_service_curve(c));
+  shift(sc, -1);
+}
+
+bool AdmissionControl::fits() const noexcept {
+  if (sum_m2_ > link_rate_) return false;  // the tail outruns the link
+  // Walk the knees in order with the aggregate's slope on each segment
+  // (every admitted curve's current slope, so never negative): the slope
+  // before the first knee is sum m1 = sum m2 + sum of all knee entries,
+  // and it drops by a knee's entry as that knee is passed.  The aggregate
+  // minus C * t is linear between knees and 0 at t = 0, so checking it
+  // at every knee (plus the tail slope above) covers all t.
+  __int128 first = static_cast<__int128>(sum_m2_);
+  for (const auto& [d, delta] : knees_) first += delta;
+  assert(first >= 0);
+  constexpr unsigned __int128 kMax = ~static_cast<unsigned __int128>(0);
+  unsigned __int128 slope = static_cast<unsigned __int128>(first);
+  unsigned __int128 value = 0;  // aggregate at `at`, nanobytes
+  TimeNs at = 0;
+  for (const auto& [d, delta] : knees_) {
+    const TimeNs dt = d - at;
+    if (slope != 0 && dt > (kMax - value) / slope) return false;
+    value += slope * dt;
+    if (value > static_cast<unsigned __int128>(link_rate_) * d) return false;
+    slope = static_cast<unsigned __int128>(static_cast<__int128>(slope) -
+                                           delta);
+    at = d;
   }
+  return true;
 }
 
 double AdmissionControl::utilization() const noexcept {
-  const double link = static_cast<double>(link_.tail_rate());
-  return link == 0.0 ? 0.0 : static_cast<double>(sum_.tail_rate()) / link;
+  return static_cast<double>(sum_m2_) / static_cast<double>(link_rate_);
 }
 
 std::optional<TimeNs> delay_bound(Bytes burst, RateBps rate,

@@ -4,10 +4,11 @@
 // min-fold, but two jobs in the paper need full piecewise-linear
 // arithmetic:
 //
-//  * admission control — SCED/H-FSC can guarantee all real-time curves
-//    iff their SUM stays below the server's curve (Section II, eq. (5)'s
-//    discussion): sums of two-piece curves have up to one breakpoint per
-//    session;
+//  * aggregate obligations — SCED/H-FSC can guarantee all real-time
+//    curves iff their SUM stays below the server's curve (Section II,
+//    eq. (5)'s discussion): sums of two-piece curves have up to one
+//    breakpoint per session (AdmissionControl below keeps that sum as an
+//    exact integer ledger; the analyzer folds it here);
 //
 //  * analytical delay bounds — for a session with arrival envelope A
 //    (e.g. a token bucket) and guaranteed service curve S, the
@@ -22,6 +23,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "curve/service_curve.hpp"
@@ -54,7 +56,7 @@ class PiecewiseLinear {
   // Smallest t with eval(t) >= y; kTimeInfinity if never reached.
   TimeNs inverse(Bytes y) const noexcept;
 
-  // Pointwise sum (for admission: the aggregate obligation).
+  // Pointwise sum (the aggregate obligation of several sessions).
   PiecewiseLinear sum(const PiecewiseLinear& other) const;
 
   // Pointwise minimum.  Breakpoints are computed symbolically: within each
@@ -139,9 +141,8 @@ class PiecewiseLinear {
   RateBps tail_rate() const noexcept { return pieces_.back().slope; }
 
   // Normalized representations are canonical, so piece-wise equality is
-  // curve equality (used by the auditor's admission bookkeeping check).
-  // Manual (not defaulted): the memoized segment hints are not part of a
-  // curve's value.
+  // curve equality.  Manual (not defaulted): the memoized segment hints
+  // are not part of a curve's value.
   friend bool operator==(const PiecewiseLinear& a,
                          const PiecewiseLinear& b) noexcept {
     return a.pieces_ == b.pieces_;
@@ -161,11 +162,25 @@ class PiecewiseLinear {
 };
 
 // Admission control for a link's real-time obligations (Section II's
-// feasibility condition).  Tracks the running sum of admitted service
-// curves and admits a new one only while  sum + candidate <= link curve.
+// feasibility condition  sum_i S_i(t) <= C * t  for all t >= 0).
+//
+// Every supported curve is two-piece (Section V), so
+//     S_i(t) = m2_i * t + (m1_i - m2_i) * min(t, d_i)
+// and the aggregate is fully described by an exact integer ledger:
+// sum m2 plus one signed sum of (m1 - m2) per distinct knee d (concave
+// curves add positive entries, m1 = 0 convex curves negative ones;
+// linear curves add none, and knees whose entries cancel are erased).
+// The aggregate minus C * t is linear between knees and zero at t = 0,
+// so fits() checks it exactly (128-bit nanobytes, no rounding) at every
+// knee plus the tail slope.  The ledger depends only on the multiset of
+// admitted curves, never on the order they arrived in.
+//
 // Hfsc::enable_admission_control wires an instance into every mutation
 // path (direct mutators and Hfsc::Txn commits) so the scheduler refuses
-// configurations whose guarantees it cannot honour.
+// configurations whose guarantees it cannot honour.  Storage is two
+// sorted flat vectors (no per-entry allocation): add/release cost a
+// binary search, plus a shift of the vector when a knee or a distinct
+// curve appears or disappears; fits() costs O(D) for D distinct knees.
 class AdmissionControl {
  public:
   // Throws Error{kInvalidArgument} if link_rate == 0 (a zero-rate link
@@ -173,20 +188,26 @@ class AdmissionControl {
   explicit AdmissionControl(RateBps link_rate)
       : link_rate_((ensure(link_rate > 0, Errc::kInvalidArgument,
                            "admission link rate must be > 0"),
-                    link_rate)),
-        link_(PiecewiseLinear::from_service_curve(
-            ServiceCurve::linear(link_rate))),
-        sum_() {}
+                    link_rate)) {}
 
   // Attempts to admit; returns false (and changes nothing) if the
   // aggregate would exceed the link curve somewhere.
   bool admit(const ServiceCurve& sc);
 
+  // Records sc WITHOUT the feasibility check (batch updates: apply a
+  // whole delta with add/release, then ask fits() once).
+  void add(const ServiceCurve& sc);
+
   // Releases a previously admitted curve (sessions leaving).  Throws
   // Error{kInvalidArgument} if no matching curve is currently admitted —
   // silently shrinking the bookkeeping would let later admits overcommit
-  // the link.
+  // the link.  A release never needs a feasibility check (the aggregate
+  // only shrinks), so it also serves as add()'s unchecked inverse.
   void release(const ServiceCurve& sc);
+
+  // True iff the admitted curves' sum stays at or below C * t for every
+  // t >= 0, evaluated exactly.
+  bool fits() const noexcept;
 
   // Fraction of the link's long-term rate currently reserved, in
   // [0, 1+] (long-term slopes only).
@@ -194,13 +215,23 @@ class AdmissionControl {
 
   RateBps link_rate() const noexcept { return link_rate_; }
   std::size_t admitted() const noexcept { return admitted_count_; }
-  const PiecewiseLinear& aggregate() const noexcept { return sum_; }
+
+  // Equal ledgers: same link, same admitted multiset (and therefore the
+  // same aggregate).  Used by the auditor against a ledger rebuilt from
+  // the tree.
+  friend bool operator==(const AdmissionControl&,
+                         const AdmissionControl&) = default;
 
  private:
+  // Adds (sign = +1) or removes (sign = -1) sc's share of the aggregate.
+  void shift(const ServiceCurve& sc, int sign);
+
   RateBps link_rate_;
-  PiecewiseLinear link_;
-  PiecewiseLinear sum_;
-  std::vector<ServiceCurve> curves_;  // for release-by-recompute
+  unsigned __int128 sum_m2_ = 0;             // tail slope of the aggregate
+  // (d, sum (m1 - m2)) by ascending d; no zero sums.
+  std::vector<std::pair<TimeNs, __int128>> knees_;
+  // The admitted multiset: (curve, count) by ascending (m1, d, m2).
+  std::vector<std::pair<ServiceCurve, std::size_t>> members_;
   std::size_t admitted_count_ = 0;
 };
 

@@ -47,9 +47,10 @@ TEST(AdmissionControlEdge, AdmitReleaseCyclesReturnUtilizationToZero) {
     ac.release(convex);
     ASSERT_EQ(ac.admitted(), 0u);
     ASSERT_DOUBLE_EQ(ac.utilization(), 0.0);
-    // The aggregate is rebuilt from scratch on release, so repeated
-    // cycles cannot accumulate rounding drift that blocks re-admission.
-    ASSERT_TRUE(ac.aggregate() == PiecewiseLinear());
+    // The ledger is exact integer state, so repeated cycles return it to
+    // the empty ledger and cannot accumulate drift that blocks
+    // re-admission.
+    ASSERT_TRUE(ac == AdmissionControl(mbps(10)));
   }
 }
 
@@ -160,6 +161,59 @@ TEST(AdmissionGate, OnlyLeafRtCurvesCount) {
     EXPECT_EQ(e.code(), Errc::kAdmissionRejected);
   }
   EXPECT_FALSE(s.is_deleted(kid3));
+  const AuditReport report = audit(s);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// Regression: the aggregate used to be a floor-rounded fold whose value
+// depended on the order curves were admitted in.  A direct change_class
+// re-folded with the changed curve last while the auditor folded in id
+// order, so the two disagreed and the self-check threw on the next op.
+// The exact ledger depends only on the admitted multiset.
+TEST(AdmissionGate, DirectChangeKeepsTheLedgerInSyncWithTheAuditor) {
+  Hfsc s(mbps(100));
+  const ClassId a = s.add_class(
+      kRootClass, ClassConfig::both(ServiceCurve{245265, 42364879, 12015}));
+  s.add_class(kRootClass,
+              ClassConfig::both(ServiceCurve{73467, 34552429, 34046}));
+  s.add_class(kRootClass,
+              ClassConfig::both(ServiceCurve{192527, 28854882, 61609}));
+  s.enable_admission_control();
+  s.change_class(0, a, ClassConfig::both(ServiceCurve{102986, 36686066, 3340}));
+  const AuditReport report = audit(s);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+
+  s.enable_self_check(1);
+  EXPECT_NO_THROW(s.set_queue_limit(a, 10));
+  EXPECT_EQ(s.self_checks_run(), 1u);
+}
+
+// Regression: the direct mutators used to update the admission ledger
+// and only then self-check, before the tree changed, so the audit saw a
+// ledger one mutation ahead of the tree and threw kInvariantViolation on
+// the first rt add.  The self-check now runs before the admission update.
+TEST(AdmissionGate, SelfCheckSeesConsistentStateAroundDirectMutations) {
+  Hfsc s(mbps(10));
+  s.enable_admission_control();
+  s.enable_self_check(1);
+  const ClassId org = s.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(10))));
+  const ClassId a =
+      s.add_class(org, ClassConfig::both(ServiceCurve::linear(mbps(4))));
+  const ClassId b =
+      s.add_class(org, ClassConfig::both(ServiceCurve{mbps(5), msec(5),
+                                                      mbps(2)}));
+  s.change_class(0, a, ClassConfig::both(ServiceCurve{0, msec(2), mbps(3)}));
+  // A leaf with an rt curve turns interior, then back into a leaf.
+  const ClassId kid =
+      s.add_class(b, ClassConfig::both(ServiceCurve::linear(mbps(1))));
+  s.delete_class(kid);
+  s.delete_class(a);
+  // Each of the seven mutations above ran one self-check; this one audits
+  // the state the last delete left.
+  s.set_queue_limit(b, 5);
+  EXPECT_EQ(s.self_checks_run(), 8u);
+  EXPECT_DOUBLE_EQ(s.admission_utilization(), 0.2);
   const AuditReport report = audit(s);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }

@@ -16,8 +16,12 @@
 # The sanitizer config re-runs the chaos/soak harness gate (ctest label
 # "chaos": kill-and-recover at every journal/checkpoint boundary, the
 # degradation-ladder overload proof, corrupt-image probes) explicitly
-# under ASan+UBSan, so every recovery path is memory- and UB-clean.  The
-# long soak (ctest label "soak") is opt-in:
+# under ASan+UBSan, so every recovery path is memory- and UB-clean.  It
+# then re-runs the admission differential fuzzers (AdmissionLedgerFuzz,
+# TxnAdmissionFuzz in test_admission_fuzz: the exact 128-bit admission
+# ledger and Txn's delta admission against brute force) explicitly, so a
+# CTEST_ARGS filter cannot keep the ledger's 128-bit arithmetic from
+# running under UBSan.  The long soak (ctest label "soak") is opt-in:
 #   $ HFSC_SOAK=1 tools/ci_check.sh sanitize     # adds the 60 s soak
 #
 # The ThreadSanitizer config (-DHFSC_SANITIZE=thread) covers the
@@ -29,7 +33,8 @@
 # the real-thread suites by an order of magnitude.
 #
 # The randomized long-running suites carry the ctest label "fuzz"
-# (tests/CMakeLists.txt) — fault injection, transaction atomicity,
+# (tests/CMakeLists.txt) — fault injection, transaction atomicity, the
+# admission ledger and Txn delta-admission differentials,
 # batched/eligible-set ablation, the min-plus curve-operator fuzz
 # (test_curve_minplus_fuzz) and the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
@@ -128,6 +133,9 @@ case "${what}" in
     echo "=== ASan+UBSan: chaos/recovery gate ==="
     ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \
       -L chaos
+    echo "=== ASan+UBSan: admission ledger differential gate ==="
+    ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \
+      -L fuzz -R 'AdmissionLedgerFuzz|TxnAdmissionFuzz'
     if [ "${HFSC_SOAK:-0}" = "1" ]; then
       echo "=== ASan+UBSan: soak (HFSC_SOAK=1) ==="
       ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \

@@ -273,5 +273,139 @@ TEST(RuntimeHost, CorruptImagesRaiseTypedErrors) {
   }
 }
 
+// --- Journal record format ------------------------------------------------
+// The record grammar (docs/ROBUSTNESS.md Section 10) is an on-disk
+// format: these pin the exact payload bytes each journaled path writes.
+
+std::vector<std::string> payloads(const RuntimeHost& h) {
+  std::vector<std::string> out;
+  for (const JournalRecord& r : h.journal().records_after(0)) {
+    out.push_back(r.payload);
+  }
+  return out;
+}
+
+TEST(JournalFormat, DirectRecordPayloadsArePinned) {
+  RuntimeHost h(small_opts());
+  const ClassId org = h.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(8))));
+  const ClassConfig leaf_cfg{ServiceCurve{mbps(2), msec(5), mbps(1)},
+                             ServiceCurve::linear(mbps(2)),
+                             ServiceCurve::linear(mbps(4))};
+  const ClassId leaf = h.add_class(org, leaf_cfg);
+  h.change_class(msec(3), leaf,
+                 ClassConfig::both(ServiceCurve::linear(mbps(1))));
+  h.set_queue_limit(leaf, 32);
+  h.delete_class(leaf);
+  EXPECT_EQ(payloads(h),
+            (std::vector<std::string>{
+                "add 0 0 0 0 1000000 0 1000000 0 0 0",
+                "add 1 250000 5000000 125000 250000 0 250000 500000 0 500000",
+                "chg 3000000 2 125000 0 125000 125000 0 125000 0 0 0",
+                "qlim 2 32",
+                "del 2",
+            }));
+}
+
+TEST(JournalFormat, BatchRecordPayloadIsPinned) {
+  RuntimeHost h(small_opts());
+  const ClassId org = h.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(8))));
+  const ClassId leaf = h.add_class(
+      org, ClassConfig::link_share_only(ServiceCurve::linear(mbps(2))));
+  using Kind = RuntimeHost::BatchOp::Kind;
+  std::vector<RuntimeHost::BatchOp> batch(4);
+  batch[0].kind = Kind::kAdd;
+  batch[0].parent = org;
+  batch[0].cfg = ClassConfig::link_share_only(ServiceCurve::linear(mbps(1)));
+  batch[1].kind = Kind::kChange;
+  batch[1].now = msec(4);
+  batch[1].cls = leaf;
+  batch[1].cfg = ClassConfig::both(ServiceCurve::linear(mbps(1)));
+  batch[2].kind = Kind::kDelete;
+  batch[2].cls = leaf;
+  batch[3].kind = Kind::kQueueLimit;
+  batch[3].cls = leaf + 1;  // the batch's own add
+  batch[3].limit = 16;
+  h.commit_batch(batch);
+  const std::vector<std::string> p = payloads(h);
+  ASSERT_EQ(p.size(), 3u);
+  EXPECT_EQ(p[2],
+            "txn 4\n"
+            "add 1 0 0 0 125000 0 125000 0 0 0\n"
+            "chg 4000000 2 125000 0 125000 125000 0 125000 0 0 0\n"
+            "del 2\n"
+            "qlim 3 16\n");
+}
+
+TEST(JournalFormat, GovernorRecordPayloadsArePinned) {
+  RuntimeOptions o;
+  o.link_rate = mbps(10);
+  o.admission_rate = mbps(10);
+  o.sample_interval = msec(1);
+  GovernorConfig& g = o.governor;
+  for (int i = 0; i < 3; ++i) {
+    g.enter_backlog[i] = 2000 * static_cast<Bytes>(i + 1);
+    g.exit_backlog[i] = 1000 * static_cast<Bytes>(i + 1);
+  }
+  g.class_threshold = 8000;  // flagged at >= 4000 B queued
+  g.up_samples = 1;
+  g.down_samples = 100;
+  g.quarantine_after = 2;
+  g.quarantine_qlimit = 4;
+  g.headroom = 0.5;
+  RuntimeHost h(o);
+  const ClassId bulk = h.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(5))));
+  h.add_class(kRootClass, ClassConfig::both(ServiceCurve::linear(mbps(2))));
+  // One 1500 B arrival per sample and no service: the backlog walks the
+  // ladder one level per sample (1 at 3000 B, 2 at 4500 B, 3 at 6000 B).
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    h.enqueue(msec(k), Packet{bulk, 1500, msec(k), k});
+  }
+  ASSERT_EQ(h.gov_level(), 3);
+  const std::vector<std::string> p = payloads(h);
+  ASSERT_EQ(p.size(), 5u);
+  EXPECT_EQ(p[2],
+            "gov 0\n"
+            "gov-state 1\nlevel 1 0\nclamped 0\nquarantined 0\nend\n");
+  EXPECT_EQ(p[3],
+            "gov 1\n"
+            "chg 2000000 1 0 0 0 156250 0 156250 0 0 0\n"
+            "gov-state 1\nlevel 2 0\nclamped 1\n"
+            "1 0 0 0 625000 0 625000 0 0 0\nquarantined 0\nend\n");
+  EXPECT_EQ(p[4],
+            "gov 2\n"
+            "qlim 1 4\n"
+            "adm 625000\n"
+            "gov-state 1\nlevel 3 1\nclamped 1\n"
+            "1 0 0 0 625000 0 625000 0 0 0\nquarantined 1\n1 0\nend\n");
+  RuntimeHost back = RuntimeHost::recover(o, "", h.journal_image());
+  EXPECT_EQ(back.governor().serialize(), h.governor().serialize());
+  EXPECT_EQ(back.sched().queue_limit_of(bulk), 4u);
+}
+
+TEST(JournalFormat, GovRecordRejectsStructuralSubOps) {
+  // A gov record may only re-shape (chg), re-limit (qlim) and retune
+  // admission (adm); the other sub-ops and misplaced adm are malformed.
+  const std::string blob = OverloadGovernor{GovernorConfig{}}.serialize();
+  for (const std::string& bad :
+       {"gov 1\nadd 0 0 0 0 125000 0 125000 0 0 0\n" + blob,
+        "gov 1\ndel 1\n" + blob, std::string("txn 1\nadm 1000\n"),
+        std::string("adm 1000")}) {
+    RuntimeHost h(small_opts());
+    h.add_class(kRootClass,
+                ClassConfig::link_share_only(ServiceCurve::linear(mbps(1))));
+    Journal j = Journal::parse(h.journal_image());
+    j.append(bad);
+    try {
+      RuntimeHost::recover(small_opts(), "", j.image());
+      FAIL() << "recovered a journal holding: " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kBadJournal) << bad;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hfsc

@@ -21,7 +21,11 @@
 # TxnAdmissionFuzz in test_admission_fuzz: the exact 128-bit admission
 # ledger and Txn's delta admission against brute force) explicitly, so a
 # CTEST_ARGS filter cannot keep the ledger's 128-bit arithmetic from
-# running under UBSan.  The long soak (ctest label "soak") is opt-in:
+# running under UBSan; and, next to them, the journal record fuzz
+# (JournalRecordFuzz in test_journal_fuzz: mutated record payloads,
+# re-framed with valid checksums, must recover audit-clean or fail with
+# a typed hfsc::Error, never a sanitizer report).  The long soak (ctest
+# label "soak") is opt-in:
 #   $ HFSC_SOAK=1 tools/ci_check.sh sanitize     # adds the 60 s soak
 #
 # The ThreadSanitizer config (-DHFSC_SANITIZE=thread) covers the
@@ -34,7 +38,8 @@
 #
 # The randomized long-running suites carry the ctest label "fuzz"
 # (tests/CMakeLists.txt) — fault injection, transaction atomicity, the
-# admission ledger and Txn delta-admission differentials,
+# admission ledger and Txn delta-admission differentials, the journal
+# record fuzz,
 # batched/eligible-set ablation, the min-plus curve-operator fuzz
 # (test_curve_minplus_fuzz) and the analyzer-vs-simulator topology fuzz
 # (test_analysis_topology_fuzz: measured delay/backlog never exceed the
@@ -133,9 +138,9 @@ case "${what}" in
     echo "=== ASan+UBSan: chaos/recovery gate ==="
     ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \
       -L chaos
-    echo "=== ASan+UBSan: admission ledger differential gate ==="
+    echo "=== ASan+UBSan: admission ledger + journal record fuzz gate ==="
     ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \
-      -L fuzz -R 'AdmissionLedgerFuzz|TxnAdmissionFuzz'
+      -L fuzz -R 'AdmissionLedgerFuzz|TxnAdmissionFuzz|JournalRecordFuzz'
     if [ "${HFSC_SOAK:-0}" = "1" ]; then
       echo "=== ASan+UBSan: soak (HFSC_SOAK=1) ==="
       ctest --test-dir "${repo}/build-ci-sanitize" --output-on-failure \

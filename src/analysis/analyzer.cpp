@@ -331,6 +331,28 @@ void check_queues_and_sources(Ctx& ctx) {
   }
 }
 
+// Effective guarantee of `cls` inside one hierarchy: the rt curve capped
+// by every upper limit on the root path (exact pointwise min).  nullopt
+// when the class is absent or has no rt curve there — as a route hop it
+// then offers no guaranteed service at all.
+std::optional<PiecewiseLinear> hop_guarantee(const HierarchySpec& spec,
+                                             const std::string& cls) {
+  std::map<std::string, const ClassSpec*> by_name;
+  for (const ClassSpec& c : spec.classes) by_name[c.name] = &c;
+  const auto it = by_name.find(cls);
+  if (it == by_name.end() || it->second->rt.is_zero()) return std::nullopt;
+  PiecewiseLinear eff = PiecewiseLinear::from_service_curve(it->second->rt);
+  const ClassSpec* cur = it->second;
+  while (true) {
+    if (!cur->ul.is_zero()) {
+      eff = eff.min(PiecewiseLinear::from_service_curve(cur->ul));
+    }
+    if (ClassSpec::is_top_level(cur->parent)) break;
+    cur = by_name.at(cur->parent);
+  }
+  return eff;
+}
+
 // (b) Per-leaf worst-case delay bounds (Theorem 2): the exact horizontal
 // deviation between the declared arrival envelope and the leaf's
 // *effective* guarantee min(rt, ul_self, ul_ancestors...), plus one
@@ -357,20 +379,9 @@ void check_delay_bounds(Ctx& ctx) {
       continue;
     }
 
-    // Effective guarantee: the rt curve capped by every upper limit on
-    // the root path (exact pointwise min).
-    PiecewiseLinear effective = PiecewiseLinear::from_service_curve(c.rt);
-    std::string cur = c.name;
-    while (true) {
-      const ClassSpec& node = ctx.spec.classes[ctx.index.at(cur)];
-      if (!node.ul.is_zero()) {
-        effective =
-            effective.min(PiecewiseLinear::from_service_curve(node.ul));
-      }
-      if (ClassSpec::is_top_level(node.parent)) break;
-      cur = node.parent;
-    }
-
+    // Class names are unique (validated) and c has an rt curve, so its
+    // effective guarantee exists.
+    const PiecewiseLinear effective = *hop_guarantee(ctx.spec, c.name);
     LeafDelayBound b;
     b.cls = c.name;
     b.env_burst = c.env_burst;
@@ -433,28 +444,6 @@ void check_portability(Ctx& ctx) {
 }
 
 // ------------------------------------------------ end-to-end route walk
-
-// Effective guarantee of `cls` inside one node's hierarchy: the rt curve
-// capped by every upper limit on the root path (the same min-fold as
-// check_delay_bounds).  nullopt when the class is absent or has no rt
-// curve there — the hop then offers no guaranteed service at all.
-std::optional<PiecewiseLinear> hop_guarantee(const HierarchySpec& spec,
-                                             const std::string& cls) {
-  std::map<std::string, const ClassSpec*> by_name;
-  for (const ClassSpec& c : spec.classes) by_name[c.name] = &c;
-  const auto it = by_name.find(cls);
-  if (it == by_name.end() || it->second->rt.is_zero()) return std::nullopt;
-  PiecewiseLinear eff = PiecewiseLinear::from_service_curve(it->second->rt);
-  const ClassSpec* cur = it->second;
-  while (true) {
-    if (!cur->ul.is_zero()) {
-      eff = eff.min(PiecewiseLinear::from_service_curve(cur->ul));
-    }
-    if (ClassSpec::is_top_level(cur->parent)) break;
-    cur = by_name.at(cur->parent);
-  }
-  return eff;
-}
 
 // Largest packet a node can have on the wire: sources entering at the
 // node plus routed flows passing through it (their packets are forwarded

@@ -372,6 +372,23 @@ void Hfsc::set_queue_limit(ClassId cls, std::size_t max_packets) {
   nodes_[cls].queue_limit = max_packets;
 }
 
+ClassId Hfsc::apply(const ClassOp& op) {
+  switch (op.kind) {
+    case ClassOp::Kind::kAdd:
+      return add_class(op.parent, op.cfg);
+    case ClassOp::Kind::kChange:
+      change_class(op.now, op.cls, op.cfg);
+      return op.cls;
+    case ClassOp::Kind::kDelete:
+      delete_class(op.cls);
+      return op.cls;
+    case ClassOp::Kind::kQueueLimit:
+      set_queue_limit(op.cls, op.limit);
+      return op.cls;
+  }
+  throw Error(Errc::kInvalidArgument, "unknown control-plane op kind");
+}
+
 void Hfsc::enqueue(TimeNs now, Packet pkt) {
   maybe_self_check();
   now = clamp_now(now);

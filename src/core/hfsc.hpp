@@ -78,6 +78,20 @@ struct ClassConfig {
   }
 };
 
+// One control-plane mutation: the four ways the paper's link-sharing
+// hierarchy changes at runtime (add, re-shape, delete, queue limit).
+// Hfsc::apply executes one, Hfsc::Txn::stage batches them, and the
+// runtime journals and replays them (runtime/host.hpp).
+struct ClassOp {
+  enum class Kind { kAdd, kChange, kDelete, kQueueLimit };
+  Kind kind = Kind::kAdd;
+  ClassId parent = kRootClass;  // kAdd
+  ClassId cls = kRootClass;     // others (kAdd ignores it)
+  ClassConfig cfg{};            // kAdd / kChange
+  TimeNs now = 0;               // kChange
+  std::size_t limit = 0;        // kQueueLimit
+};
+
 // How an interior class's system virtual time is derived from its active
 // children.  The paper (Section IV-C) uses the midpoint (v_min + v_max)/2
 // and notes that using either extreme alone makes the sibling virtual-time
@@ -128,6 +142,10 @@ class Hfsc final : public Scheduler {
   // (Error{kHasChildren} otherwise).
   void delete_class(ClassId cls);
 
+  // Dispatches `op` to the mutator above that it names; returns the new
+  // class's id for kAdd and op.cls otherwise.  Same contracts.
+  ClassId apply(const ClassOp& op);
+
   bool is_deleted(ClassId cls) const { return nodes_[cls].deleted; }
 
   // --- Transactional reconfiguration --------------------------------------
@@ -152,11 +170,23 @@ class Hfsc final : public Scheduler {
     Txn& operator=(const Txn&) = delete;
     Txn& operator=(Txn&&) = delete;
 
-    // Stages a mutation; returns the id the class will have on commit.
-    ClassId add_class(ClassId parent, ClassConfig cfg);
-    void change_class(TimeNs now, ClassId cls, ClassConfig cfg);
-    void delete_class(ClassId cls);
-    void set_queue_limit(ClassId cls, std::size_t max_packets);
+    // Stages a mutation; returns the id the class will have on commit
+    // (kAdd) or op.cls.  The named forms below stage one op each.
+    ClassId stage(const ClassOp& op);
+    ClassId add_class(ClassId parent, ClassConfig cfg) {
+      return stage({.kind = ClassOp::Kind::kAdd, .parent = parent, .cfg = cfg});
+    }
+    void change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
+      stage({.kind = ClassOp::Kind::kChange, .cls = cls, .cfg = cfg,
+             .now = now});
+    }
+    void delete_class(ClassId cls) {
+      stage({.kind = ClassOp::Kind::kDelete, .cls = cls});
+    }
+    void set_queue_limit(ClassId cls, std::size_t max_packets) {
+      stage({.kind = ClassOp::Kind::kQueueLimit, .cls = cls,
+             .limit = max_packets});
+    }
 
     // Validates the whole batch against an overlay of the live hierarchy,
     // then applies it.  Throws hfsc::Error on the first invalid op or on
@@ -170,15 +200,14 @@ class Hfsc final : public Scheduler {
     std::size_t num_ops() const noexcept;
 
    private:
-    struct Op;
     struct Shadow;
 
     // Replays one op onto the shadow, throwing on any rule the live
     // mutators would reject; returns the id assigned (adds only).
-    static ClassId replay(Shadow& sh, const Op& op);
+    static ClassId replay(Shadow& sh, const ClassOp& op);
 
     Hfsc* s_;
-    std::vector<Op> ops_;
+    std::vector<ClassOp> ops_;
     std::size_t base_classes_;  // num_classes() at begin; id prediction base
     std::size_t adds_ = 0;      // staged add_class ops (next id offset)
     bool open_ = true;

@@ -31,15 +31,6 @@
 
 namespace hfsc {
 
-struct Hfsc::Txn::Op {
-  enum class Kind { kAdd, kChange, kDelete, kQueueLimit };
-  Kind kind;
-  ClassId cls = 0;  // kAdd: the parent; otherwise the target class
-  ClassConfig cfg{};
-  TimeNs now = 0;           // kChange re-anchor time
-  std::size_t limit = 0;    // kQueueLimit
-};
-
 struct Hfsc::Txn::Shadow {
   // What validation reads of a class: its rt curve (admission) and
   // whether it has an ls curve (interior classes need one).
@@ -147,23 +138,24 @@ Hfsc::Txn::Txn(Txn&& other) noexcept
   other.open_ = false;
 }
 
-ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
+ClassId Hfsc::Txn::replay(Shadow& sh, const ClassOp& op) {
   switch (op.kind) {
-    case Op::Kind::kAdd: {
-      ensure(op.cls < sh.size() && (op.cls == kRootClass || sh.live(op.cls)),
+    case ClassOp::Kind::kAdd: {
+      ensure(op.parent < sh.size() &&
+                 (op.parent == kRootClass || sh.live(op.parent)),
              Errc::kInvalidClass, "unknown or deleted parent class");
-      const Shadow::SNode parent = sh.get(op.cls);
+      const Shadow::SNode parent = sh.get(op.parent);
       ensure(!parent.backlogged, Errc::kHasBacklog,
              "cannot add children under a class that queues packets");
-      ensure(op.cls == kRootClass || parent.has_ls, Errc::kMissingCurve,
+      ensure(op.parent == kRootClass || parent.has_ls, Errc::kMissingCurve,
              "interior classes need a link-sharing curve");
       check_config(op.cfg, /*leaf=*/true);
-      sh.added.push_back(Shadow::SNode{op.cls, op.cfg.rt, 0,
+      sh.added.push_back(Shadow::SNode{op.parent, op.cfg.rt, 0,
                                        !op.cfg.ls.is_zero(), false, false});
-      ++sh.mut(op.cls).children;
+      ++sh.mut(op.parent).children;
       return static_cast<ClassId>(sh.size() - 1);
     }
-    case Op::Kind::kChange: {
+    case ClassOp::Kind::kChange: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
       Shadow::SNode& sn = sh.mut(op.cls);
       check_config(op.cfg, /*leaf=*/sn.children == 0);
@@ -171,7 +163,7 @@ ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
       sn.has_ls = !op.cfg.ls.is_zero();
       return op.cls;
     }
-    case Op::Kind::kDelete: {
+    case ClassOp::Kind::kDelete: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
       Shadow::SNode& sn = sh.mut(op.cls);
       ensure(sn.children == 0, Errc::kHasChildren, "delete children first");
@@ -181,7 +173,7 @@ ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
       --sh.mut(parent).children;
       return op.cls;
     }
-    case Op::Kind::kQueueLimit: {
+    case ClassOp::Kind::kQueueLimit: {
       ensure(sh.live(op.cls), Errc::kInvalidClass, "unknown or deleted class");
       return op.cls;
     }
@@ -189,25 +181,12 @@ ClassId Hfsc::Txn::replay(Shadow& sh, const Op& op) {
   throw Error(Errc::kTxnInvalid, "corrupt staged op");
 }
 
-ClassId Hfsc::Txn::add_class(ClassId parent, ClassConfig cfg) {
+ClassId Hfsc::Txn::stage(const ClassOp& op) {
   ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kAdd, parent, cfg, 0, 0});
-  return static_cast<ClassId>(base_classes_ + adds_++);
-}
-
-void Hfsc::Txn::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
-  ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kChange, cls, cfg, now, 0});
-}
-
-void Hfsc::Txn::delete_class(ClassId cls) {
-  ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kDelete, cls, ClassConfig{}, 0, 0});
-}
-
-void Hfsc::Txn::set_queue_limit(ClassId cls, std::size_t max_packets) {
-  ensure(open_, Errc::kTxnInvalid, "transaction already closed");
-  ops_.push_back(Op{Op::Kind::kQueueLimit, cls, ClassConfig{}, 0, max_packets});
+  ops_.push_back(op);
+  return op.kind == ClassOp::Kind::kAdd
+             ? static_cast<ClassId>(base_classes_ + adds_++)
+             : op.cls;
 }
 
 std::size_t Hfsc::Txn::num_ops() const noexcept { return ops_.size(); }
@@ -228,7 +207,7 @@ void Hfsc::Txn::commit() {
   // tree.  Any throw here (or in the admission check below) leaves the
   // scheduler untouched and the transaction open.
   Shadow sh(*s_, adds_);
-  for (const Op& op : ops_) replay(sh, op);
+  for (const ClassOp& op : ops_) replay(sh, op);
 
   // Phase 2: admission over the final state — the sum of the surviving
   // leaves' rt curves must stay below the link curve (Section II).  On
@@ -241,22 +220,7 @@ void Hfsc::Txn::commit() {
   // validated above, and intermediate states are transient).
   s_->in_txn_apply_ = true;
   try {
-    for (const Op& op : ops_) {
-      switch (op.kind) {
-        case Op::Kind::kAdd:
-          s_->add_class(op.cls, op.cfg);
-          break;
-        case Op::Kind::kChange:
-          s_->change_class(op.now, op.cls, op.cfg);
-          break;
-        case Op::Kind::kDelete:
-          s_->delete_class(op.cls);
-          break;
-        case Op::Kind::kQueueLimit:
-          s_->set_queue_limit(op.cls, op.limit);
-          break;
-      }
-    }
+    for (const ClassOp& op : ops_) s_->apply(op);
   } catch (...) {
     s_->in_txn_apply_ = false;
     throw;  // unreachable unless the scheduler was already corrupt

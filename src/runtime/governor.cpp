@@ -1,10 +1,27 @@
 #include "runtime/governor.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "util/errors.hpp"
 
 namespace hfsc {
+
+void put_config(std::string& out, const ClassConfig& cfg) {
+  const std::uint64_t v[] = {cfg.rt.m1, cfg.rt.d, cfg.rt.m2,
+                             cfg.ls.m1, cfg.ls.d, cfg.ls.m2,
+                             cfg.ul.m1, cfg.ul.d, cfg.ul.m2};
+  for (std::size_t i = 0; i < std::size(v); ++i) {
+    if (i > 0) out += ' ';
+    out += std::to_string(v[i]);
+  }
+}
+
+bool read_config(std::istream& in, ClassConfig& cfg) {
+  return static_cast<bool>(in >> cfg.rt.m1 >> cfg.rt.d >> cfg.rt.m2 >>
+                           cfg.ls.m1 >> cfg.ls.d >> cfg.ls.m2 >> cfg.ul.m1 >>
+                           cfg.ul.d >> cfg.ul.m2);
+}
 
 const char* to_string(GovEventKind k) noexcept {
   switch (k) {
@@ -141,9 +158,9 @@ std::string OverloadGovernor::serialize() const {
   os << "level " << level_ << ' ' << (tightened_ ? 1 : 0) << '\n';
   os << "clamped " << clamped_.size() << '\n';
   for (const auto& [cls, cfg] : clamped_) {
-    os << cls << ' ' << cfg.rt.m1 << ' ' << cfg.rt.d << ' ' << cfg.rt.m2
-       << ' ' << cfg.ls.m1 << ' ' << cfg.ls.d << ' ' << cfg.ls.m2 << ' '
-       << cfg.ul.m1 << ' ' << cfg.ul.d << ' ' << cfg.ul.m2 << '\n';
+    std::string line = std::to_string(cls) + ' ';
+    put_config(line, cfg);
+    os << line << '\n';
   }
   os << "quarantined " << quarantined_.size() << '\n';
   for (const auto& [cls, limit] : quarantined_) {
@@ -174,10 +191,7 @@ void OverloadGovernor::restore(const std::string& blob) {
   for (std::size_t i = 0; i < n; ++i) {
     ClassId cls = 0;
     ClassConfig cfg;
-    if (!(in >> cls >> cfg.rt.m1 >> cfg.rt.d >> cfg.rt.m2 >> cfg.ls.m1 >>
-          cfg.ls.d >> cfg.ls.m2 >> cfg.ul.m1 >> cfg.ul.d >> cfg.ul.m2)) {
-      bad("truncated clamped entry");
-    }
+    if (!(in >> cls) || !read_config(in, cfg)) bad("truncated clamped entry");
     clamped[cls] = cfg;
   }
   if (!(in >> tok >> n) || tok != "quarantined") bad("bad quarantined record");

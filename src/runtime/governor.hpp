@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,6 +71,14 @@ struct GovernorConfig {
   // Level 3: fraction of the admission link rate left open to new flows.
   double headroom = 0.75;
 };
+
+// The ClassConfig text form the runtime persists, both in the governor's
+// saved originals and in journal op records: nine space-separated
+// integers, rt.m1 rt.d rt.m2 ls.m1 ls.d ls.m2 ul.m1 ul.d ul.m2.
+// put_config appends it to `out`; read_config returns false on a short
+// or malformed input.
+void put_config(std::string& out, const ClassConfig& cfg);
+bool read_config(std::istream& in, ClassConfig& cfg);
 
 enum class GovEventKind {
   kLevelUp,

@@ -13,25 +13,66 @@ namespace {
               "malformed journal record: '" + payload.substr(0, 48) + "'");
 }
 
-void put_sc(std::ostream& out, const ServiceCurve& sc) {
-  out << sc.m1 << ' ' << sc.d << ' ' << sc.m2;
-}
-
-void put_cfg(std::ostream& out, const ClassConfig& cfg) {
-  put_sc(out, cfg.rt);
-  out << ' ';
-  put_sc(out, cfg.ls);
-  out << ' ';
-  put_sc(out, cfg.ul);
-}
-
-ClassConfig read_cfg(std::istream& in, const std::string& payload) {
-  ClassConfig cfg;
-  if (!(in >> cfg.rt.m1 >> cfg.rt.d >> cfg.rt.m2 >> cfg.ls.m1 >> cfg.ls.d >>
-        cfg.ls.m2 >> cfg.ul.m1 >> cfg.ul.d >> cfg.ul.m2)) {
-    bad_record(payload);
+// The journal's op codec, shared by the direct, `txn` and `gov` records
+// (the record grammar is stated once, in docs/ROBUSTNESS.md Section 10).
+// put_op appends one op line without its terminator.
+void put_op(std::string& out, const ClassOp& op) {
+  auto num = [&out](std::uint64_t v) {
+    out += ' ';
+    out += std::to_string(v);
+  };
+  switch (op.kind) {
+    case ClassOp::Kind::kAdd:
+      out += "add";
+      num(op.parent);
+      out += ' ';
+      put_config(out, op.cfg);
+      return;
+    case ClassOp::Kind::kChange:
+      out += "chg";
+      num(op.now);
+      num(op.cls);
+      out += ' ';
+      put_config(out, op.cfg);
+      return;
+    case ClassOp::Kind::kDelete:
+      out += "del";
+      num(op.cls);
+      return;
+    case ClassOp::Kind::kQueueLimit:
+      out += "qlim";
+      num(op.cls);
+      num(op.limit);
+      return;
   }
-  return cfg;
+}
+
+// Reads the fields of the op whose tag was just read; an unknown tag or
+// a short or malformed field list is Error{kBadJournal}.
+ClassOp read_op(std::istream& in, const std::string& tag,
+                const std::string& payload) {
+  ClassOp op;
+  bool ok = false;
+  if (tag == "add") {
+    op.kind = ClassOp::Kind::kAdd;
+    ok = (in >> op.parent) && read_config(in, op.cfg);
+  } else if (tag == "chg") {
+    op.kind = ClassOp::Kind::kChange;
+    ok = (in >> op.now >> op.cls) && read_config(in, op.cfg);
+  } else if (tag == "del") {
+    op.kind = ClassOp::Kind::kDelete;
+    ok = static_cast<bool>(in >> op.cls);
+  } else if (tag == "qlim") {
+    op.kind = ClassOp::Kind::kQueueLimit;
+    ok = static_cast<bool>(in >> op.cls >> op.limit);
+  }
+  if (!ok) bad_record(payload);
+  return op;
+}
+
+bool live_leaf(const Hfsc& s, ClassId cls) {
+  return cls != kRootClass && cls < s.num_classes() && !s.is_deleted(cls) &&
+         s.is_leaf(cls);
 }
 
 }  // namespace
@@ -69,98 +110,65 @@ RuntimeHost::RuntimeHost(const RuntimeOptions& opts, Hfsc&& restored,
 
 // --- Journaled control plane -----------------------------------------------
 
-ClassId RuntimeHost::add_class(ClassId parent, ClassConfig cfg) {
-  const ClassId id = sched_.add_class(parent, cfg);
-  maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "add " << parent << ' ';
-  put_cfg(p, cfg);
-  journal_append(p.str());
-  maybe_crash(CrashPoint::kAfterJournalAppend);
+ClassId RuntimeHost::apply(const ClassOp& op) {
+  const ClassId id = sched_.apply(op);
+  if (op.kind == ClassOp::Kind::kDelete) {
+    // A deleted class can no longer be governed; live deletes and
+    // replayed ones both drop it here, so recovery converges to the same
+    // governor state.
+    gov_.forget_clamp(op.cls);
+    gov_.forget_quarantine(op.cls);
+  }
   return id;
 }
 
+ClassId RuntimeHost::journaled(const ClassOp& op) {
+  const ClassId id = apply(op);
+  std::string payload;
+  put_op(payload, op);
+  journal_append(payload);
+  return id;
+}
+
+ClassId RuntimeHost::add_class(ClassId parent, ClassConfig cfg) {
+  return journaled(
+      {.kind = ClassOp::Kind::kAdd, .parent = parent, .cfg = cfg});
+}
+
 void RuntimeHost::change_class(TimeNs now, ClassId cls, ClassConfig cfg) {
-  sched_.change_class(now, cls, cfg);
-  maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "chg " << now << ' ' << cls << ' ';
-  put_cfg(p, cfg);
-  journal_append(p.str());
-  maybe_crash(CrashPoint::kAfterJournalAppend);
+  journaled(
+      {.kind = ClassOp::Kind::kChange, .cls = cls, .cfg = cfg, .now = now});
 }
 
 void RuntimeHost::delete_class(ClassId cls) {
-  sched_.delete_class(cls);
-  // A deleted class can no longer be governed; dropping it from the
-  // saved-state maps here is mirrored by the `del` replay path, so
-  // recovery converges to the same governor state.
-  gov_.forget_clamp(cls);
-  gov_.forget_quarantine(cls);
-  maybe_crash(CrashPoint::kAfterApply);
-  journal_append("del " + std::to_string(cls));
-  maybe_crash(CrashPoint::kAfterJournalAppend);
+  journaled({.kind = ClassOp::Kind::kDelete, .cls = cls});
 }
 
 void RuntimeHost::set_queue_limit(ClassId cls, std::size_t max_packets) {
-  sched_.set_queue_limit(cls, max_packets);
-  maybe_crash(CrashPoint::kAfterApply);
-  journal_append("qlim " + std::to_string(cls) + ' ' +
-                 std::to_string(max_packets));
-  maybe_crash(CrashPoint::kAfterJournalAppend);
+  journaled(
+      {.kind = ClassOp::Kind::kQueueLimit, .cls = cls, .limit = max_packets});
 }
 
 void RuntimeHost::commit_batch(const std::vector<BatchOp>& ops) {
   Hfsc::Txn txn = sched_.begin();
-  for (const BatchOp& op : ops) {
-    switch (op.kind) {
-      case BatchOp::Kind::kAdd:
-        txn.add_class(op.parent, op.cfg);
-        break;
-      case BatchOp::Kind::kChange:
-        txn.change_class(op.now, op.cls, op.cfg);
-        break;
-      case BatchOp::Kind::kDelete:
-        txn.delete_class(op.cls);
-        break;
-      case BatchOp::Kind::kQueueLimit:
-        txn.set_queue_limit(op.cls, op.limit);
-        break;
-    }
-  }
+  for (const ClassOp& op : ops) txn.stage(op);
   txn.commit();  // throws without journaling on a failed batch
-  maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "txn " << ops.size() << '\n';
-  for (const BatchOp& op : ops) {
-    switch (op.kind) {
-      case BatchOp::Kind::kAdd:
-        p << "add " << op.parent << ' ';
-        put_cfg(p, op.cfg);
-        break;
-      case BatchOp::Kind::kChange:
-        p << "chg " << op.now << ' ' << op.cls << ' ';
-        put_cfg(p, op.cfg);
-        break;
-      case BatchOp::Kind::kDelete:
-        p << "del " << op.cls;
-        break;
-      case BatchOp::Kind::kQueueLimit:
-        p << "qlim " << op.cls << ' ' << op.limit;
-        break;
-    }
-    p << '\n';
+  std::string payload = "txn " + std::to_string(ops.size()) + '\n';
+  for (const ClassOp& op : ops) {
+    put_op(payload, op);
+    payload += '\n';
   }
-  journal_append(p.str());
-  maybe_crash(CrashPoint::kAfterJournalAppend);
+  journal_append(payload);
 }
 
 // --- Data path ---------------------------------------------------------------
 
 bool RuntimeHost::rt_leaf(ClassId cls) const {
-  return cls != kRootClass && cls < sched_.num_classes() &&
-         !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
-         !sched_.config_of(cls).rt.is_zero();
+  return live_leaf(sched_, cls) && !sched_.config_of(cls).rt.is_zero();
+}
+
+bool RuntimeHost::governable(ClassId cls) const {
+  return live_leaf(sched_, cls) && sched_.config_of(cls).rt.is_zero();
 }
 
 void RuntimeHost::enqueue(TimeNs now, Packet pkt) {
@@ -225,11 +233,20 @@ bool RuntimeHost::retune_admission(RateBps rate) {
 }
 
 void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
-  std::vector<std::string> mutations;
-  auto governable = [&](ClassId cls) {
-    return cls != kRootClass && cls < sched_.num_classes() &&
-           !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
-           sched_.config_of(cls).rt.is_zero();
+  // The intervention's sub-op lines, each applied as it is written.
+  std::string body;
+  std::size_t n = 0;
+  auto run = [&](const ClassOp& op) {
+    sched_.apply(op);
+    put_op(body, op);
+    body += '\n';
+    ++n;
+  };
+  auto retune = [&](RateBps rate, bool tightened) {
+    if (!retune_admission(rate)) return;
+    gov_.note_admission(tightened);
+    body += "adm " + std::to_string(rate) + '\n';
+    ++n;
   };
 
   for (const ClassId cls : actions.clamp) {
@@ -241,67 +258,46 @@ void RuntimeHost::execute(const GovActions& actions, TimeNs now) {
         1, static_cast<RateBps>(static_cast<double>(original.ls.m1) * f));
     clamped.ls.m2 = std::max<RateBps>(
         1, static_cast<RateBps>(static_cast<double>(original.ls.m2) * f));
-    sched_.change_class(now, cls, clamped);
+    run({.kind = ClassOp::Kind::kChange, .cls = cls, .cfg = clamped,
+         .now = now});
     gov_.note_clamped(cls, original);
-    std::ostringstream m;
-    m << "chg " << now << ' ' << cls << ' ';
-    put_cfg(m, clamped);
-    mutations.push_back(m.str());
   }
   for (const ClassId cls : actions.unclamp) {
     const ClassConfig original = gov_.saved_config(cls);
     if (governable(cls)) {
-      sched_.change_class(now, cls, original);
-      std::ostringstream m;
-      m << "chg " << now << ' ' << cls << ' ';
-      put_cfg(m, original);
-      mutations.push_back(m.str());
+      run({.kind = ClassOp::Kind::kChange, .cls = cls, .cfg = original,
+           .now = now});
     }
     gov_.forget_clamp(cls);
   }
   for (const ClassId cls : actions.quarantine) {
     if (!governable(cls)) continue;
     const std::size_t saved = sched_.queue_limit_of(cls);
-    const std::size_t qlim = opts_.governor.quarantine_qlimit;
-    sched_.set_queue_limit(cls, qlim);
+    run({.kind = ClassOp::Kind::kQueueLimit, .cls = cls,
+         .limit = opts_.governor.quarantine_qlimit});
     gov_.note_quarantined(cls, saved);
-    mutations.push_back("qlim " + std::to_string(cls) + ' ' +
-                        std::to_string(qlim));
   }
   for (const ClassId cls : actions.release) {
     const std::size_t saved = gov_.saved_qlimit(cls);
     if (governable(cls)) {
-      sched_.set_queue_limit(cls, saved);
-      mutations.push_back("qlim " + std::to_string(cls) + ' ' +
-                          std::to_string(saved));
+      run({.kind = ClassOp::Kind::kQueueLimit, .cls = cls, .limit = saved});
     }
     gov_.forget_quarantine(cls);
   }
-  if (actions.tighten_admission && retune_admission(tightened_rate())) {
-    gov_.note_admission(true);
-    mutations.push_back("adm " + std::to_string(tightened_rate()));
-  }
-  if (actions.restore_admission && retune_admission(opts_.admission_rate)) {
-    gov_.note_admission(false);
-    mutations.push_back("adm " + std::to_string(opts_.admission_rate));
-  }
+  if (actions.tighten_admission) retune(tightened_rate(), true);
+  if (actions.restore_admission) retune(opts_.admission_rate, false);
 
   // The whole intervention — mutations plus the governor state they
   // produced — is one atomic journal record: a crash can lose it
   // entirely (the governor re-detects after recovery) but can never
   // leave a clamp without the saved original needed to undo it.
-  maybe_crash(CrashPoint::kAfterApply);
-  std::ostringstream p;
-  p << "gov " << mutations.size() << '\n';
-  for (const std::string& m : mutations) p << m << '\n';
-  p << gov_.serialize();
-  journal_append(p.str());
-  maybe_crash(CrashPoint::kAfterJournalAppend);
+  journal_append("gov " + std::to_string(n) + '\n' + body + gov_.serialize());
 }
 
 // --- Persistence -------------------------------------------------------------
 
 void RuntimeHost::journal_append(const std::string& payload) {
+  maybe_crash(CrashPoint::kAfterApply);
   journal_.append(payload);
   // An armed tear models a crash DURING this append: the write is
   // chopped and the sync below never happens, so the record is outside
@@ -313,6 +309,7 @@ void RuntimeHost::journal_append(const std::string& payload) {
     throw CrashSignal{CrashPoint::kAfterJournalAppend};
   }
   if (opts_.sync_policy == SyncPolicy::kOnCommit) journal_.sync();
+  maybe_crash(CrashPoint::kAfterJournalAppend);
 }
 
 void RuntimeHost::save_checkpoint() {
@@ -333,87 +330,40 @@ void RuntimeHost::save_checkpoint() {
 
 void RuntimeHost::apply_record(const std::string& payload) {
   std::istringstream in(payload);
-  std::string op;
-  if (!(in >> op)) bad_record(payload);
-  if (op == "add") {
-    ClassId parent = 0;
-    if (!(in >> parent)) bad_record(payload);
-    sched_.add_class(parent, read_cfg(in, payload));
-  } else if (op == "chg") {
-    TimeNs now = 0;
-    ClassId cls = 0;
-    if (!(in >> now >> cls)) bad_record(payload);
-    sched_.change_class(now, cls, read_cfg(in, payload));
-  } else if (op == "del") {
-    ClassId cls = 0;
-    if (!(in >> cls)) bad_record(payload);
-    sched_.delete_class(cls);
-    gov_.forget_clamp(cls);
-    gov_.forget_quarantine(cls);
-  } else if (op == "qlim") {
-    ClassId cls = 0;
-    std::size_t limit = 0;
-    if (!(in >> cls >> limit)) bad_record(payload);
-    sched_.set_queue_limit(cls, limit);
-  } else if (op == "txn") {
-    std::size_t n = 0;
+  std::string tag;
+  if (!(in >> tag)) bad_record(payload);
+  std::size_t n = 0;
+  if (tag == "txn") {
     if (!(in >> n)) bad_record(payload);
     Hfsc::Txn txn = sched_.begin();
     for (std::size_t i = 0; i < n; ++i) {
-      std::string sub;
-      if (!(in >> sub)) bad_record(payload);
-      if (sub == "add") {
-        ClassId parent = 0;
-        if (!(in >> parent)) bad_record(payload);
-        txn.add_class(parent, read_cfg(in, payload));
-      } else if (sub == "chg") {
-        TimeNs now = 0;
-        ClassId cls = 0;
-        if (!(in >> now >> cls)) bad_record(payload);
-        txn.change_class(now, cls, read_cfg(in, payload));
-      } else if (sub == "del") {
-        ClassId cls = 0;
-        if (!(in >> cls)) bad_record(payload);
-        txn.delete_class(cls);
-      } else if (sub == "qlim") {
-        ClassId cls = 0;
-        std::size_t limit = 0;
-        if (!(in >> cls >> limit)) bad_record(payload);
-        txn.set_queue_limit(cls, limit);
-      } else {
-        bad_record(payload);
-      }
+      if (!(in >> tag)) bad_record(payload);
+      txn.stage(read_op(in, tag, payload));
     }
     txn.commit();
-  } else if (op == "gov") {
-    std::size_t n = 0;
+  } else if (tag == "gov") {
     if (!(in >> n)) bad_record(payload);
     for (std::size_t i = 0; i < n; ++i) {
-      std::string sub;
-      if (!(in >> sub)) bad_record(payload);
-      if (sub == "chg") {
-        TimeNs now = 0;
-        ClassId cls = 0;
-        if (!(in >> now >> cls)) bad_record(payload);
-        sched_.change_class(now, cls, read_cfg(in, payload));
-      } else if (sub == "qlim") {
-        ClassId cls = 0;
-        std::size_t limit = 0;
-        if (!(in >> cls >> limit)) bad_record(payload);
-        sched_.set_queue_limit(cls, limit);
-      } else if (sub == "adm") {
+      if (!(in >> tag)) bad_record(payload);
+      if (tag == "adm") {
         RateBps rate = 0;
         if (!(in >> rate)) bad_record(payload);
         sched_.enable_admission_control(rate);
-      } else {
+        continue;
+      }
+      // The governor only re-shapes and re-limits leaves; a structural
+      // sub-op in its record is malformed input.
+      const ClassOp op = read_op(in, tag, payload);
+      if (op.kind != ClassOp::Kind::kChange &&
+          op.kind != ClassOp::Kind::kQueueLimit) {
         bad_record(payload);
       }
+      sched_.apply(op);
     }
-    const std::string blob{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
-    gov_.restore(blob);
+    gov_.restore(std::string{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()});
   } else {
-    bad_record(payload);
+    apply(read_op(in, tag, payload));
   }
 }
 
@@ -422,39 +372,25 @@ RuntimeHost RuntimeHost::recover(const RuntimeOptions& opts,
                                  const std::string& journal_image) {
   Journal j = Journal::parse(journal_image);  // throws Error{kBadJournal}
 
-  if (checkpoint_image.empty()) {
-    // Never checkpointed: recovery is a full journal replay onto a
-    // fresh scheduler built exactly like the original was.
-    RuntimeHost h(opts);
-    h.replaying_ = true;
-    for (const JournalRecord& r : j.records_after(0)) {
-      h.apply_record(r.payload);
-    }
-    h.replaying_ = false;
-    h.journal_ = std::move(j);
-    const AuditReport rep = h.audit_runtime();
-    if (!rep.ok()) {
-      throw Error(Errc::kInvariantViolation,
-                  "recovered state fails the audit: " + rep.to_string());
-    }
-    return h;
-  }
-
-  std::istringstream in(checkpoint_image);
-  std::string ext;
-  Hfsc restored = restore_checkpoint(in, &ext);
-  RuntimeHost h(opts, std::move(restored), RecoverTag{});
-
-  std::istringstream ei(ext);
-  std::string tok;
+  // An empty checkpoint image means never checkpointed: recovery is a
+  // full journal replay onto a fresh scheduler built exactly like the
+  // original was.
   std::uint64_t watermark = 0;
-  if (!(ei >> tok >> watermark) || tok != "jseq") {
-    throw Error(Errc::kBadCheckpoint,
-                "runtime checkpoint ext is missing the journal watermark");
-  }
-  const std::string gov_blob{std::istreambuf_iterator<char>(ei),
-                             std::istreambuf_iterator<char>()};
-  h.gov_.restore(gov_blob);
+  RuntimeHost h = [&] {
+    if (checkpoint_image.empty()) return RuntimeHost(opts);
+    std::istringstream in(checkpoint_image);
+    std::string ext;
+    RuntimeHost restored(opts, restore_checkpoint(in, &ext), RecoverTag{});
+    std::istringstream ei(ext);
+    std::string tok;
+    if (!(ei >> tok >> watermark) || tok != "jseq") {
+      throw Error(Errc::kBadCheckpoint,
+                  "runtime checkpoint ext is missing the journal watermark");
+    }
+    restored.gov_.restore(std::string{std::istreambuf_iterator<char>(ei),
+                                      std::istreambuf_iterator<char>()});
+    return restored;
+  }();
 
   h.replaying_ = true;
   for (const JournalRecord& r : j.records_after(watermark)) {
@@ -477,11 +413,6 @@ AuditReport RuntimeHost::audit_runtime() const {
   AuditReport r = audit(sched_);
   auto fail = [&](const std::string& what) {
     r.failures.push_back("governor: " + what);
-  };
-  auto governable = [&](ClassId cls) {
-    return cls != kRootClass && cls < sched_.num_classes() &&
-           !sched_.is_deleted(cls) && sched_.is_leaf(cls) &&
-           sched_.config_of(cls).rt.is_zero();
   };
   for (const auto& [cls, saved] : gov_.clamped()) {
     (void)saved;

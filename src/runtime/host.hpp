@@ -97,15 +97,7 @@ class RuntimeHost {
   void delete_class(ClassId cls);
   void set_queue_limit(ClassId cls, std::size_t max_packets);
 
-  struct BatchOp {
-    enum class Kind { kAdd, kChange, kDelete, kQueueLimit };
-    Kind kind = Kind::kAdd;
-    ClassId parent = kRootClass;  // kAdd
-    ClassId cls = kRootClass;     // others (kAdd ignores it)
-    ClassConfig cfg{};            // kAdd / kChange
-    TimeNs now = 0;               // kChange
-    std::size_t limit = 0;        // kQueueLimit
-  };
+  using BatchOp = ClassOp;
   // Applies the batch atomically through Hfsc::Txn and journals it as
   // one record; throws without journaling if the commit fails.
   void commit_batch(const std::vector<BatchOp>& ops);
@@ -178,7 +170,15 @@ class RuntimeHost {
       throw CrashSignal{p};
     }
   }
-  // Appends `payload`; honors an armed tear (torn append + crash).
+  // Applies one op to the scheduler and the governor's saved state (a
+  // deleted class is no longer governed); shared by the live mutators
+  // and journal replay.
+  ClassId apply(const ClassOp& op);
+  // The journaled mutator path: apply, then journal the op.
+  ClassId journaled(const ClassOp& op);
+  // Journals the record of a mutation just applied, between the
+  // kAfterApply and kAfterJournalAppend crash points; honors an armed
+  // tear (torn append + crash).
   void journal_append(const std::string& payload);
   // Runs the governor if the sampling interval elapsed.
   void maybe_sample(TimeNs now);
@@ -189,6 +189,9 @@ class RuntimeHost {
   void apply_record(const std::string& payload);
   // True if `cls` is a live leaf carrying an rt curve.
   bool rt_leaf(ClassId cls) const;
+  // True if `cls` is a live leaf WITHOUT an rt curve: the only classes
+  // the governor may clamp or quarantine.
+  bool governable(ClassId cls) const;
   std::uint64_t total_drops() const;
   // Pre-checked admission switch (never leaves admission disabled).
   bool retune_admission(RateBps rate);

@@ -15,12 +15,6 @@ namespace hfsc {
 
 namespace {
 
-// Every failure carries the run's seed so a red line is reproducible
-// verbatim (rep.seed is set before any episode runs).
-void fail(ChaosReport& rep, const std::string& what) {
-  rep.failures.push_back(what + " [" + chaos_seed_tag(rep.seed) + "]");
-}
-
 // Per crash-free epoch packet accounting: everything offered must be
 // found again as delivered, dropped (class drops, push-outs, deletions)
 // or rejected (malformed) service, or still sit in the backlog.  A
@@ -55,9 +49,9 @@ void check_epoch(const RuntimeHost& h, const EpochBase& base,
       (static_cast<std::int64_t>(now.backlog) -
        static_cast<std::int64_t>(base.backlog));
   if (accounted != static_cast<std::int64_t>(offered_epoch)) {
-    fail(rep, where + ": packet conservation broken (offered " +
-                  std::to_string(offered_epoch) + ", accounted " +
-                  std::to_string(accounted) + ")");
+    rep.fail(where + ": packet conservation broken (offered " +
+                 std::to_string(offered_epoch) + ", accounted " +
+                 std::to_string(accounted) + ")");
   }
 }
 
@@ -243,21 +237,12 @@ OverloadResult run_overload(bool governor_on) {
 }
 
 void run_overload_check(ChaosReport& rep) {
-  // Theorem 2 bound for the rt leaf: the horizontal gap between its
-  // token-bucket envelope and its (un-upper-limited) rt guarantee, plus
-  // one max-packet transmission time — computed exactly as the static
-  // analyzer computes it.
-  const ServiceCurve rt_curve = ServiceCurve::linear(mbps(20));
-  const PiecewiseLinear env = PiecewiseLinear::token_bucket(2000, mbps(16));
-  const PiecewiseLinear guarantee =
-      PiecewiseLinear::from_service_curve(rt_curve);
-  const auto gap = env.max_horizontal_gap(guarantee);
-  if (!gap) {
-    fail(rep, "overload: rt envelope unexpectedly overruns the guarantee");
+  const std::optional<TimeNs> bound = chaos_rt_delay_bound();
+  if (!bound) {
+    rep.fail("overload: rt envelope unexpectedly overruns the guarantee");
     return;
   }
-  const TimeNs bound = sat_add(*gap, tx_time(1500, mbps(100)));
-  rep.rt_delay_bound = bound;
+  rep.rt_delay_bound = *bound;
 
   const OverloadResult governed = run_overload(/*governor_on=*/true);
   const OverloadResult twin = run_overload(/*governor_on=*/false);
@@ -269,51 +254,51 @@ void run_overload_check(ChaosReport& rep) {
   rep.delivered += governed.delivered + twin.delivered;
 
   if (governed.max_level < 3) {
-    fail(rep, "overload: flood never drove the ladder to level 3 (reached " +
-                  std::to_string(governed.max_level) + ")");
+    rep.fail("overload: flood never drove the ladder to level 3 (reached " +
+                 std::to_string(governed.max_level) + ")");
   }
   if (governed.push_outs == 0) {
-    fail(rep, "overload: level >= 1 never pushed out a non-rt arrival");
+    rep.fail("overload: level >= 1 never pushed out a non-rt arrival");
   }
-  if (!governed.clamp_seen) fail(rep, "overload: no clamp event at level 2");
+  if (!governed.clamp_seen) rep.fail("overload: no clamp event at level 2");
   if (!governed.quarantine_seen) {
-    fail(rep, "overload: no quarantine event for persistent offenders");
+    rep.fail("overload: no quarantine event for persistent offenders");
   }
   if (!governed.tighten_seen) {
-    fail(rep, "overload: no tighten-admission event at level 3");
+    rep.fail("overload: no tighten-admission event at level 3");
   }
   if (!governed.admission_probe_rejected) {
-    fail(rep, "overload: tightened admission accepted a flow over headroom");
+    rep.fail("overload: tightened admission accepted a flow over headroom");
   }
   if (!governed.admission_probe_after_decay_ok) {
-    fail(rep, "overload: admission headroom not restored after decay");
+    rep.fail("overload: admission headroom not restored after decay");
   }
   if (!governed.reversed_cleanly) {
-    fail(rep, "overload: degradation was not fully reversed on load decay");
+    rep.fail("overload: degradation was not fully reversed on load decay");
   }
   if (!governed.audit.empty()) {
-    fail(rep, "overload: governed run ends audit-dirty: " + governed.audit);
+    rep.fail("overload: governed run ends audit-dirty: " + governed.audit);
   }
   if (!twin.audit.empty()) {
-    fail(rep, "overload: twin run ends audit-dirty: " + twin.audit);
+    rep.fail("overload: twin run ends audit-dirty: " + twin.audit);
   }
   if (twin.max_level != 0 || twin.push_outs != 0) {
-    fail(rep, "overload: governor-disabled twin still degraded");
+    rep.fail("overload: governor-disabled twin still degraded");
   }
   // The invariant the whole ladder is built around: admitted rt
   // guarantees hold at every degradation level, governed or not.
   for (const auto& [level, delay] : governed.max_delay_by_level) {
-    if (delay > bound) {
-      fail(rep, "overload: rt delay " + std::to_string(delay) +
-                    " ns exceeds the Theorem 2 bound " +
-                    std::to_string(bound) + " ns at governor level " +
-                    std::to_string(level));
+    if (delay > *bound) {
+      rep.fail("overload: rt delay " + std::to_string(delay) +
+                   " ns exceeds the Theorem 2 bound " +
+                   std::to_string(*bound) + " ns at governor level " +
+                   std::to_string(level));
     }
   }
-  if (twin.max_delay > bound) {
-    fail(rep, "overload: twin rt delay " + std::to_string(twin.max_delay) +
-                  " ns exceeds the Theorem 2 bound " + std::to_string(bound) +
-                  " ns");
+  if (twin.max_delay > *bound) {
+    rep.fail("overload: twin rt delay " + std::to_string(twin.max_delay) +
+                 " ns exceeds the Theorem 2 bound " + std::to_string(*bound) +
+                 " ns");
   }
 }
 
@@ -321,28 +306,9 @@ void run_overload_check(ChaosReport& rep) {
 // Kill-and-recover episodes.
 // ---------------------------------------------------------------------------
 
-RuntimeOptions episode_options() {
-  RuntimeOptions o;
-  o.link_rate = mbps(100);
-  o.admission_rate = mbps(100);
-  o.watchdog_horizon = msec(50);
-  o.sample_interval = usec(500);
-  GovernorConfig& g = o.governor;
-  g.enter_backlog[0] = 64 * 1024;
-  g.enter_backlog[1] = 256 * 1024;
-  g.enter_backlog[2] = 1024 * 1024;
-  g.exit_backlog[0] = 32 * 1024;
-  g.exit_backlog[1] = 128 * 1024;
-  g.exit_backlog[2] = 512 * 1024;
-  g.class_threshold = 96 * 1024;
-  g.up_samples = 2;
-  g.down_samples = 4;
-  return o;
-}
-
 void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
   Rng rng(cfg.seed + 0x9E3779B97f4A7C15ULL * static_cast<std::uint64_t>(ep));
-  const RuntimeOptions opts = episode_options();
+  const RuntimeOptions opts = chaos_runtime_options(msec(50));
 
   std::optional<RuntimeHost> host;
   host.emplace(opts);
@@ -409,18 +375,18 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
       RuntimeHost r2 = RuntimeHost::recover(opts, cp, jr);
       if (r1.digest() != r2.digest() ||
           r1.governor().serialize() != r2.governor().serialize()) {
-        fail(rep, std::string(where) + ": recovery is not deterministic");
+        rep.fail(std::string(where) + ": recovery is not deterministic");
       }
       const AuditReport ar = r1.audit_runtime();
       if (!ar.ok()) {
-        fail(rep, std::string(where) + ": recovered state audit-dirty: " +
-                      ar.to_string());
+        rep.fail(std::string(where) + ": recovered state audit-dirty: " +
+                     ar.to_string());
       }
       rep.replayed_records += r1.journal().num_records();
       host.emplace(std::move(r1));
       ++rep.recoveries;
     } catch (const Error& e) {
-      fail(rep, std::string(where) + ": recovery raised " + e.what());
+      rep.fail(std::string(where) + ": recovery raised " + e.what());
       host.emplace(opts);  // keep the episode alive for the remainder
     }
     base = snapshot(*host);
@@ -486,12 +452,12 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
         bad.push_back(op);
         try {
           host->commit_batch(bad);
-          fail(rep, "episode " + std::to_string(ep) +
-                        ": invalid batch committed");
+          rep.fail("episode " + std::to_string(ep) +
+                       ": invalid batch committed");
         } catch (const Error& e) {
           if (e.code() != Errc::kInvalidClass) {
-            fail(rep, "episode " + std::to_string(ep) +
-                          ": invalid batch raised wrong error: " + e.what());
+            rep.fail("episode " + std::to_string(ep) +
+                         ": invalid batch raised wrong error: " + e.what());
           }
         }
       }
@@ -521,8 +487,8 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
           host->tear_next_append(rng.uniform(1, 60));
           host->set_queue_limit(bulk[2], rng.uniform(32, 256));
         }
-        fail(rep, "episode " + std::to_string(ep) +
-                      ": armed crash point never fired");
+        rep.fail("episode " + std::to_string(ep) +
+                     ": armed crash point never fired");
       } catch (const CrashSignal&) {
         recover_now("crash recovery");
         scratch.clear();  // ids may have been lost with the crash
@@ -541,8 +507,8 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
   check_epoch(*host, base, offered_epoch, "episode end", rep);
   const AuditReport ar = host->audit_runtime();
   if (!ar.ok()) {
-    fail(rep, "episode " + std::to_string(ep) +
-                  " ends audit-dirty: " + ar.to_string());
+    rep.fail("episode " + std::to_string(ep) +
+                 " ends audit-dirty: " + ar.to_string());
   }
 
   // Replay parity: snapshot, then a few control-plane-only mutations;
@@ -558,12 +524,12 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     RuntimeHost rec = RuntimeHost::recover(opts, host->checkpoint_image(),
                                            host->journal_image());
     if (rec.digest() != host->digest()) {
-      fail(rep, "episode " + std::to_string(ep) +
-                    ": replayed recovery digest differs from live state");
+      rep.fail("episode " + std::to_string(ep) +
+                   ": replayed recovery digest differs from live state");
     }
   } catch (const Error& e) {
-    fail(rep, "episode " + std::to_string(ep) +
-                  ": replay-parity recovery raised " + e.what());
+    rep.fail("episode " + std::to_string(ep) +
+                 ": replay-parity recovery raised " + e.what());
   }
 
   // Corrupt-image probes on a subset of episodes: typed errors and
@@ -573,11 +539,11 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     const std::string jr = host->journal_image();
     try {
       RuntimeHost::recover(opts, cp, "this was never a journal");
-      fail(rep, "garbage journal accepted");
+      rep.fail("garbage journal accepted");
     } catch (const Error& e) {
       if (e.code() != Errc::kBadJournal) {
-        fail(rep, std::string("garbage journal raised wrong error: ") +
-                      e.what());
+        rep.fail(std::string("garbage journal raised wrong error: ") +
+                     e.what());
       }
     }
     if (cp.size() > 4) {
@@ -585,11 +551,11 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
       bad_cp[0] = 'X';
       try {
         RuntimeHost::recover(opts, bad_cp, jr);
-        fail(rep, "corrupt checkpoint accepted");
+        rep.fail("corrupt checkpoint accepted");
       } catch (const Error& e) {
         if (e.code() != Errc::kBadCheckpoint) {
-          fail(rep, std::string("corrupt checkpoint raised wrong error: ") +
-                        e.what());
+          rep.fail(std::string("corrupt checkpoint raised wrong error: ") +
+                       e.what());
         }
       }
     }
@@ -601,10 +567,10 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
       try {
         RuntimeHost r = RuntimeHost::recover(opts, cp, bad_jr);
         if (!r.audit_runtime().ok()) {
-          fail(rep, "bit-flipped journal recovery is audit-dirty");
+          rep.fail("bit-flipped journal recovery is audit-dirty");
         }
       } catch (const Error& e) {
-        fail(rep, std::string("bit-flipped journal raised ") + e.what());
+        rep.fail(std::string("bit-flipped journal raised ") + e.what());
       }
     }
   }
@@ -612,12 +578,45 @@ void run_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
   ++rep.episodes;
 }
 
-}  // namespace
-
+// The reproduction handle appended to every failure and summary line.
 std::string chaos_seed_tag(std::uint64_t seed) {
   std::ostringstream os;
   os << "seed=0x" << std::hex << seed;
   return os.str();
+}
+
+}  // namespace
+
+void ChaosReport::fail(const std::string& what) {
+  failures.push_back(what + " [" + chaos_seed_tag(seed) + "]");
+}
+
+std::optional<TimeNs> chaos_rt_delay_bound() {
+  const PiecewiseLinear env = PiecewiseLinear::token_bucket(2000, mbps(16));
+  const PiecewiseLinear guarantee =
+      PiecewiseLinear::from_service_curve(ServiceCurve::linear(mbps(20)));
+  const std::optional<TimeNs> gap = env.max_horizontal_gap(guarantee);
+  if (!gap) return std::nullopt;
+  return sat_add(*gap, tx_time(1500, mbps(100)));
+}
+
+RuntimeOptions chaos_runtime_options(TimeNs watchdog_horizon) {
+  RuntimeOptions o;
+  o.link_rate = mbps(100);
+  o.admission_rate = mbps(100);
+  o.watchdog_horizon = watchdog_horizon;
+  o.sample_interval = usec(500);
+  GovernorConfig& g = o.governor;
+  g.enter_backlog[0] = 64 * 1024;
+  g.enter_backlog[1] = 256 * 1024;
+  g.enter_backlog[2] = 1024 * 1024;
+  g.exit_backlog[0] = 32 * 1024;
+  g.exit_backlog[1] = 128 * 1024;
+  g.exit_backlog[2] = 512 * 1024;
+  g.class_threshold = 96 * 1024;
+  g.up_samples = 2;
+  g.down_samples = 4;
+  return o;
 }
 
 std::string ChaosReport::to_string() const {
@@ -668,9 +667,9 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
     }
   }
   if (rep.recoveries != rep.crashes) {
-    fail(rep, "not every crash was recovered (" +
-                  std::to_string(rep.recoveries) + "/" +
-                  std::to_string(rep.crashes) + ")");
+    rep.fail("not every crash was recovered (" +
+                 std::to_string(rep.recoveries) + "/" +
+                 std::to_string(rep.crashes) + ")");
   }
   return rep;
 }

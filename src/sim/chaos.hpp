@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,12 +92,25 @@ struct ChaosReport {
   std::vector<std::string> failures;
 
   bool ok() const noexcept { return failures.empty(); }
+  // Records a violated expectation tagged "seed=0x<hex>" with the run's
+  // seed, so a red line is reproducible verbatim (seed is set before
+  // any episode runs; the summary lines carry the same tag).
+  void fail(const std::string& what);
   std::string to_string() const;
 };
 
-// "seed=0x<hex>" — appended to every failure and summary line (the
-// reproduction handle; both harness translation units share it).
-std::string chaos_seed_tag(std::uint64_t seed);
+// Shared by both harness translation units:
+//   * chaos_rt_delay_bound is the Theorem 2 bound for their rt leaf — a
+//     20 Mb/s linear rt curve fed by a (2000 B, 16 Mb/s) token bucket on
+//     a 100 Mb/s link: the horizontal gap between envelope and guarantee
+//     plus one max-packet transmission time, computed exactly as the
+//     static analyzer computes it; nullopt if the envelope overruns the
+//     guarantee;
+//   * chaos_runtime_options are the RuntimeHost options of the
+//     kill-and-recover episodes and of the sharded episodes' hosts.
+struct RuntimeOptions;  // runtime/host.hpp
+std::optional<TimeNs> chaos_rt_delay_bound();
+RuntimeOptions chaos_runtime_options(TimeNs watchdog_horizon);
 
 ChaosReport run_chaos(const ChaosConfig& cfg);
 

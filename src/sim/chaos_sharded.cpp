@@ -25,17 +25,12 @@
 #include <vector>
 
 #include "config/hierarchy_spec.hpp"
-#include "curve/piecewise.hpp"
 #include "runtime/supervisor.hpp"
 #include "util/rng.hpp"
 
 namespace hfsc {
 
 namespace {
-
-void sfail(ChaosReport& rep, const std::string& what) {
-  rep.failures.push_back(what + " [" + chaos_seed_tag(rep.seed) + "]");
-}
 
 // Per-shard hierarchy: one guaranteed rt leaf plus two bulk leaves
 // under a pinned top-level org, and one hash-assigned top-level leaf
@@ -78,25 +73,6 @@ HierarchySpec make_spec(int shards) {
   return spec;
 }
 
-RuntimeOptions shard_runtime_options() {
-  RuntimeOptions o;
-  o.link_rate = mbps(100);
-  o.admission_rate = mbps(100);
-  o.watchdog_horizon = 0;  // virtual time advances irregularly here
-  o.sample_interval = usec(500);
-  GovernorConfig& g = o.governor;
-  g.enter_backlog[0] = 64 * 1024;
-  g.enter_backlog[1] = 256 * 1024;
-  g.enter_backlog[2] = 1024 * 1024;
-  g.exit_backlog[0] = 32 * 1024;
-  g.exit_backlog[1] = 128 * 1024;
-  g.exit_backlog[2] = 512 * 1024;
-  g.class_threshold = 96 * 1024;
-  g.up_samples = 2;
-  g.down_samples = 4;
-  return o;
-}
-
 // The thread-level fault each episode injects (cycled).
 enum class ShardFault {
   kStallAndFlood,      // wedged worker + ring overflow, watchdog kill
@@ -112,7 +88,8 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
 
   ShardedOptions so;
   so.shards = S;
-  so.shard.runtime = shard_runtime_options();
+  // Watchdog off: virtual time advances irregularly here.
+  so.shard.runtime = chaos_runtime_options(0);
   so.shard.ring_capacity = 256;
   so.shard.checkpoint_every_pops = 256;
   so.shard.serve_burst = 32;
@@ -161,7 +138,7 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     // nowhere in the shard totals, and never crash anything.
     if (rng.chance(0.02) &&
         rt.enqueue(now, Packet{9999, 100, now, seq++})) {
-      sfail(rep, who + ": unroutable class id was accepted");
+      rep.fail(who + ": unroutable class id was accepted");
     }
 
     if (!fault_injected && i >= fault_at) {
@@ -223,10 +200,10 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     // dead, unhealed, producers bouncing off its full ring.
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     if (!rt.shard(victim).dead()) {
-      sfail(rep, who + ": killed worker not dead after supervisor outage");
+      rep.fail(who + ": killed worker not dead after supervisor outage");
     }
     if (rt.shard(victim).restarts() != 0) {
-      sfail(rep, who + ": shard restarted while the supervisor was down");
+      rep.fail(who + ": shard restarted while the supervisor was down");
     }
     rt.start_supervisor();
   }
@@ -246,8 +223,8 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     }
     if (healthy && restarts >= 1) break;
     if (std::chrono::steady_clock::now() > deadline) {
-      sfail(rep, who + ": fault never healed (" + std::to_string(restarts) +
-                     " restarts)");
+      rep.fail(who + ": fault never healed (" + std::to_string(restarts) +
+                   " restarts)");
       break;
     }
     for (int k = 0; k < 4; ++k) {
@@ -273,31 +250,31 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
   // The books, exactly.
   const ShardedRuntime::Totals totals = rt.quiesce_totals();
   if (!totals.conserved()) {
-    sfail(rep, who + ": conservation broken: " + totals.to_string());
+    rep.fail(who + ": conservation broken: " + totals.to_string());
   }
   if (totals.backlog != 0 || totals.spilled != 0) {
-    sfail(rep, who + ": backlog failed to drain: " + totals.to_string());
+    rep.fail(who + ": backlog failed to drain: " + totals.to_string());
   }
   if (totals.restarts < 1) {
-    sfail(rep, who + ": injected fault never caused a restart");
+    rep.fail(who + ": injected fault never caused a restart");
   }
   std::string why;
   if (!rt.audit_all(&why)) {
-    sfail(rep, who + ": audit-dirty after recovery: " + why);
+    rep.fail(who + ": audit-dirty after recovery: " + why);
   }
 
   int recovered = 0;
   for (const SupervisorEvent& ev : rt.drain_events()) {
     switch (ev.kind) {
       case SupervisorEvent::Kind::kRecoveryFailed:
-        sfail(rep, who + ": recovery failed on shard " +
-                       std::to_string(ev.shard) + ": " + ev.detail);
+        rep.fail(who + ": recovery failed on shard " +
+                     std::to_string(ev.shard) + ": " + ev.detail);
         break;
       case SupervisorEvent::Kind::kRecovered:
         ++recovered;
         if (!ev.digest_match) {
-          sfail(rep, who + ": recovery of shard " + std::to_string(ev.shard) +
-                         " is not deterministic (digest mismatch)");
+          rep.fail(who + ": recovery of shard " + std::to_string(ev.shard) +
+                       " is not deterministic (digest mismatch)");
         }
         break;
       case SupervisorEvent::Kind::kQuarantined:
@@ -307,7 +284,7 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
         break;
     }
   }
-  if (recovered < 1) sfail(rep, who + ": no recovery event was emitted");
+  if (recovered < 1) rep.fail(who + ": no recovery event was emitted");
 
   // Healthy shards' guarantees never flinched: a shard that was never
   // restarted must have kept every rt dequeue inside the analytic
@@ -317,10 +294,10 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
     const TimeNs d = rt.shard(s).max_rt_delay();
     if (d > rep.shard_rt_delay_max) rep.shard_rt_delay_max = d;
     if (d > rep.shard_rt_delay_bound) {
-      sfail(rep, who + ": healthy shard " + std::to_string(s) +
-                     " rt delay " + std::to_string(d) +
-                     " ns exceeds the Theorem 2 bound " +
-                     std::to_string(rep.shard_rt_delay_bound) + " ns");
+      rep.fail(who + ": healthy shard " + std::to_string(s) +
+                   " rt delay " + std::to_string(d) +
+                   " ns exceeds the Theorem 2 bound " +
+                   std::to_string(rep.shard_rt_delay_bound) + " ns");
     }
   }
 
@@ -338,19 +315,14 @@ void run_shard_episode(const ChaosConfig& cfg, int ep, ChaosReport& rep) {
 ChaosReport run_sharded_chaos(const ChaosConfig& cfg) {
   ChaosReport rep;
   rep.seed = cfg.seed;
-  // Theorem 2 bound for the per-shard rt leaf, computed exactly as the
-  // static analyzer computes it: the offered rt stream (200 B / 100 us
-  // = 16 Mb/s CBR) conforms to a (2000 B, 16 Mb/s) token bucket, served
-  // by a 20 Mb/s guarantee on a 100 Mb/s link.
-  const PiecewiseLinear env = PiecewiseLinear::token_bucket(2000, mbps(16));
-  const PiecewiseLinear guarantee =
-      PiecewiseLinear::from_service_curve(kRtCurve);
-  const auto gap = env.max_horizontal_gap(guarantee);
-  if (!gap) {
-    sfail(rep, "sharded: rt envelope unexpectedly overruns the guarantee");
+  // The offered rt stream (200 B / 100 us = 16 Mb/s CBR) on kRtCurve is
+  // the shared bound's token-bucket-conformant rt leaf.
+  const std::optional<TimeNs> bound = chaos_rt_delay_bound();
+  if (!bound) {
+    rep.fail("sharded: rt envelope unexpectedly overruns the guarantee");
     return rep;
   }
-  rep.shard_rt_delay_bound = sat_add(*gap, tx_time(1500, mbps(100)));
+  rep.shard_rt_delay_bound = *bound;
   for (int ep = 0; ep < cfg.shard_episodes; ++ep) {
     run_shard_episode(cfg, ep, rep);
   }

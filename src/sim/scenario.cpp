@@ -941,9 +941,10 @@ ScenarioResult run_scenario(const Scenario& sc,
   }
 
   // Timed control plane.  Class creations/deletions at the same (node,
-  // time) coalesce into ONE transaction: Txn validation copies the whole
-  // hierarchy per commit, so per-op commits would make a 100k-flow churn
-  // step quadratic.  A batch refused by admission control falls back to
+  // time) coalesce into ONE transaction: besides its O(batch) overlay
+  // work, every commit pays one admission feasibility check over all the
+  // distinct rt knees, so a batch pays it once where per-op commits would
+  // pay it per class.  A batch refused by admission control falls back to
   // per-op commits so each class gets its own verdict (the flash-crowd
   // behaviour Section II's feasibility test implies).
   std::uint64_t classes_rejected = 0;

@@ -112,14 +112,16 @@ RuntimeHost::RuntimeHost(const RuntimeOptions& opts, Hfsc&& restored,
 
 ClassId RuntimeHost::apply(const ClassOp& op) {
   const ClassId id = sched_.apply(op);
-  if (op.kind == ClassOp::Kind::kDelete) {
-    // A deleted class can no longer be governed; live deletes and
-    // replayed ones both drop it here, so recovery converges to the same
-    // governor state.
+  forget_deleted({&op, 1});
+  return id;
+}
+
+void RuntimeHost::forget_deleted(std::span<const ClassOp> ops) {
+  for (const ClassOp& op : ops) {
+    if (op.kind != ClassOp::Kind::kDelete) continue;
     gov_.forget_clamp(op.cls);
     gov_.forget_quarantine(op.cls);
   }
-  return id;
 }
 
 ClassId RuntimeHost::journaled(const ClassOp& op) {
@@ -153,6 +155,7 @@ void RuntimeHost::commit_batch(const std::vector<BatchOp>& ops) {
   Hfsc::Txn txn = sched_.begin();
   for (const ClassOp& op : ops) txn.stage(op);
   txn.commit();  // throws without journaling on a failed batch
+  forget_deleted(ops);
   std::string payload = "txn " + std::to_string(ops.size()) + '\n';
   for (const ClassOp& op : ops) {
     put_op(payload, op);
@@ -335,12 +338,15 @@ void RuntimeHost::apply_record(const std::string& payload) {
   std::size_t n = 0;
   if (tag == "txn") {
     if (!(in >> n)) bad_record(payload);
+    std::vector<ClassOp> ops;
     Hfsc::Txn txn = sched_.begin();
     for (std::size_t i = 0; i < n; ++i) {
       if (!(in >> tag)) bad_record(payload);
-      txn.stage(read_op(in, tag, payload));
+      ops.push_back(read_op(in, tag, payload));
+      txn.stage(ops.back());
     }
     txn.commit();
+    forget_deleted(ops);
   } else if (tag == "gov") {
     if (!(in >> n)) bad_record(payload);
     for (std::size_t i = 0; i < n; ++i) {

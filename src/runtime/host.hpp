@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -170,10 +171,14 @@ class RuntimeHost {
       throw CrashSignal{p};
     }
   }
-  // Applies one op to the scheduler and the governor's saved state (a
-  // deleted class is no longer governed); shared by the live mutators
-  // and journal replay.
+  // Applies one op to the scheduler and the governor's saved state;
+  // shared by the live mutators and journal replay.
   ClassId apply(const ClassOp& op);
+  // Drops the classes a committed op list deleted from the governor's
+  // saved clamps and quarantines (a deleted class is no longer
+  // governed).  apply(), commit_batch and `txn` replay all call it, so
+  // recovery converges to the live governor state.
+  void forget_deleted(std::span<const ClassOp> ops);
   // The journaled mutator path: apply, then journal the op.
   ClassId journaled(const ClassOp& op);
   // Journals the record of a mutation just applied, between the

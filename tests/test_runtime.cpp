@@ -338,7 +338,10 @@ TEST(JournalFormat, BatchRecordPayloadIsPinned) {
             "qlim 3 16\n");
 }
 
-TEST(JournalFormat, GovernorRecordPayloadsArePinned) {
+// A governor that climbs one level per 1 ms sample once a single bulk
+// leaf queues 1500 B per sample with no service (1 at 3000 B, 2 at
+// 4500 B, 3 at 6000 B).
+RuntimeOptions ladder_opts() {
   RuntimeOptions o;
   o.link_rate = mbps(10);
   o.admission_rate = mbps(10);
@@ -354,6 +357,11 @@ TEST(JournalFormat, GovernorRecordPayloadsArePinned) {
   g.quarantine_after = 2;
   g.quarantine_qlimit = 4;
   g.headroom = 0.5;
+  return o;
+}
+
+TEST(JournalFormat, GovernorRecordPayloadsArePinned) {
+  const RuntimeOptions o = ladder_opts();
   RuntimeHost h(o);
   const ClassId bulk = h.add_class(
       kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(5))));
@@ -404,6 +412,45 @@ TEST(JournalFormat, GovRecordRejectsStructuralSubOps) {
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), Errc::kBadJournal) << bad;
     }
+  }
+}
+
+TEST(RuntimeHost, BatchedDeleteForgetsGovernorState) {
+  // The governor clamps and then quarantines the bulk leaf; a batch that
+  // deletes it must drop both, live and on replay of its `txn` record.
+  const RuntimeOptions o = ladder_opts();
+  RuntimeHost h(o);
+  const ClassId bulk = h.add_class(
+      kRootClass, ClassConfig::link_share_only(ServiceCurve::linear(mbps(5))));
+  h.add_class(kRootClass, ClassConfig::both(ServiceCurve::linear(mbps(2))));
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    h.enqueue(msec(k), Packet{bulk, 1500, msec(k), k});
+  }
+  ASSERT_EQ(h.gov_level(), 3);
+  ASSERT_EQ(h.governor().clamped().count(bulk), 1u);
+  ASSERT_EQ(h.governor().quarantined().count(bulk), 1u);
+
+  h.commit_batch({{.kind = ClassOp::Kind::kDelete, .cls = bulk}});
+  EXPECT_TRUE(h.governor().clamped().empty());
+  EXPECT_TRUE(h.governor().quarantined().empty());
+  const AuditReport live = h.audit_runtime();
+  EXPECT_TRUE(live.ok()) << live.to_string();
+
+  // recover() audits what it rebuilt and throws kInvariantViolation on a
+  // governor entry for a deleted class.
+  RuntimeHost back = RuntimeHost::recover(o, "", h.journal_image());
+  EXPECT_EQ(back.governor().serialize(), h.governor().serialize());
+  EXPECT_TRUE(back.sched().is_deleted(bulk));
+
+  // Relief unclamps nothing: the deleted leaf left the saved state with
+  // its delete, not on the governor's way down.
+  (void)h.drain_events();
+  TimeNs now = msec(4);
+  for (int k = 0; k < 400; ++k, now += msec(1)) (void)h.dequeue(now);
+  EXPECT_EQ(h.gov_level(), 0);
+  for (const GovEvent& e : h.drain_events()) {
+    EXPECT_NE(e.kind, GovEventKind::kUnclamp) << e.to_string();
+    EXPECT_NE(e.kind, GovEventKind::kRelease) << e.to_string();
   }
 }
 

@@ -707,7 +707,7 @@ AnalysisReport analyze_impl(const HierarchySpec& spec, RateBps link_rate,
   }
   ctx.leaf.resize(spec.classes.size());
   for (std::size_t i = 0; i < spec.classes.size(); ++i) {
-    ctx.leaf[i] = spec.is_leaf(spec.classes[i].name);
+    ctx.leaf[i] = !ctx.children.contains(spec.classes[i].name);
   }
 
   ctx.global_max_pkt = opts.default_max_pkt;

@@ -1,8 +1,8 @@
 #include "config/hierarchy_spec.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/errors.hpp"
 
@@ -45,14 +45,15 @@ using ClassSpec = HierarchySpec::ClassSpec;
 using IdMap = HierarchySpec::IdMap;
 using CompileOptions = HierarchySpec::CompileOptions;
 
-void check_class(const ClassSpec& c, const std::set<std::string>& declared) {
+void check_class(const ClassSpec& c,
+                 const std::unordered_set<std::string>& declared) {
   ensure(!c.name.empty(), Errc::kInvalidArgument, "class with empty name");
   ensure(c.name != "root", Errc::kInvalidArgument,
          "'root' is reserved for the hierarchy root");
-  ensure(!declared.count(c.name), Errc::kInvalidArgument,
+  ensure(!declared.contains(c.name), Errc::kInvalidArgument,
          "duplicate class '" + c.name + "'");
   if (!ClassSpec::is_top_level(c.parent)) {
-    ensure(declared.count(c.parent), Errc::kInvalidClass,
+    ensure(declared.contains(c.parent), Errc::kInvalidClass,
            "class '" + c.name + "': parent '" + c.parent +
                "' not declared before its child");
   }
@@ -128,23 +129,37 @@ void note_hfsc_only_options(const CompileOptions& opts, std::string_view family,
 }  // namespace
 
 void HierarchySpec::add(ClassSpec c) {
-  std::set<std::string> declared;
-  for (const ClassSpec& prev : classes) declared.insert(prev.name);
-  check_class(c, declared);
+  if (indexed_ > classes.size()) {
+    names_.clear();
+    indexed_ = 0;
+  }
+  for (; indexed_ < classes.size(); ++indexed_) {
+    names_.insert(classes[indexed_].name);
+  }
+  check_class(c, names_);
+  names_.insert(c.name);
   classes.push_back(std::move(c));
+  ++indexed_;
 }
 
 void HierarchySpec::validate() const {
-  std::set<std::string> declared;
+  std::unordered_set<std::string> declared;
+  declared.reserve(classes.size());
   for (const ClassSpec& c : classes) {
     check_class(c, declared);
     declared.insert(c.name);
   }
 }
 
-bool HierarchySpec::is_leaf(const std::string& name) const {
-  return std::none_of(classes.begin(), classes.end(),
-                      [&](const ClassSpec& c) { return c.parent == name; });
+std::vector<bool> HierarchySpec::leaf_mask() const {
+  std::unordered_set<std::string_view> parents;
+  parents.reserve(classes.size());
+  for (const ClassSpec& c : classes) parents.insert(c.parent);
+  std::vector<bool> leaf(classes.size());
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    leaf[i] = !parents.contains(classes[i].name);
+  }
+  return leaf;
 }
 
 std::unique_ptr<Hfsc> HierarchySpec::build_hfsc(
@@ -241,8 +256,10 @@ std::vector<const ClassSpec*> flatten(const HierarchySpec& spec,
                                       std::vector<std::string>* notes,
                                       bool strict) {
   std::vector<const ClassSpec*> leaves;
-  for (const ClassSpec& c : spec.classes) {
-    if (spec.is_leaf(c.name)) {
+  const std::vector<bool> leaf = spec.leaf_mask();
+  for (std::size_t i = 0; i < spec.classes.size(); ++i) {
+    const ClassSpec& c = spec.classes[i];
+    if (leaf[i]) {
       leaves.push_back(&c);
     } else {
       lose(notes, strict, Errc::kInvalidArgument,
@@ -354,8 +371,9 @@ std::unique_ptr<Fifo> HierarchySpec::build_fifo(
   // per-class arrival statistics meaningful downstream.
   IdMap local;
   ClassId next = 1;
-  for (const ClassSpec& c : classes) {
-    if (is_leaf(c.name)) local[c.name] = next++;
+  const std::vector<bool> leaf = leaf_mask();
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    if (leaf[i]) local[classes[i].name] = next++;
   }
   if (ids) *ids = std::move(local);
   return sched;

@@ -41,6 +41,7 @@
 #include <string>
 #include <string_view>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "core/hfsc.hpp"
@@ -133,6 +134,9 @@ struct HierarchySpec {
     }
   };
 
+  // Declaration order; a parent precedes its children.  Appending here
+  // directly is allowed (add() indexes what it has not seen yet), but
+  // any other direct edit is checked only by validate().
   std::vector<ClassSpec> classes;
 
   // Appends a class after validating it against what is already declared:
@@ -141,14 +145,22 @@ struct HierarchySpec {
   // Error{kMissingCurve} when neither rt nor ls nor an explicit rate is
   // given, Error{kUnsupportedCurve} on a curve shape outside the
   // two-piece algebra.
+  //
+  // Cost: expected O(1) per call against a private name index of
+  // `classes`, so building an n-class spec is O(n).  The index resyncs
+  // whenever its size differs from classes.size(): it indexes the
+  // classes appended directly since the last add(), and starts over when
+  // `classes` shrank.
   void add(ClassSpec c);
 
-  // Whole-spec validation (add() incrementally enforces the same rules;
-  // this re-checks a directly aggregate-initialized `classes` vector).
+  // Whole-spec validation, O(n): the authoritative check that every
+  // compiler and ShardedRuntime runs.  add() enforces the same rules
+  // incrementally; this also covers direct edits of `classes`.
   void validate() const;
 
-  // True when no other class declares `name` as its parent.
-  bool is_leaf(const std::string& name) const;
+  // Per-class leaf flags, aligned with `classes`: true when no class
+  // declares classes[i].name as its parent.  One pass, O(n).
+  std::vector<bool> leaf_mask() const;
 
   using IdMap = std::map<std::string, ClassId>;
 
@@ -196,6 +208,11 @@ struct HierarchySpec {
   std::unique_ptr<Fifo> build_fifo(RateBps link_rate, IdMap* ids = nullptr,
                                    std::vector<std::string>* notes = nullptr,
                                    const CompileOptions& opts = {}) const;
+
+ private:
+  // Names of classes[0, indexed_), for add().
+  std::unordered_set<std::string> names_;
+  std::size_t indexed_ = 0;
 };
 
 }  // namespace hfsc

@@ -793,8 +793,10 @@ void install_source(const ScenarioSource& s, ClassId cls, EventQueue& ev,
 // provenance of every class name for merged reporting.
 struct NodeRun {
   Topology::NodeIndex idx = 0;
-  HierarchySpec spec;           // the node's static classes
   HierarchySpec::IdMap ids;     // static name -> id
+  // Static classes with static children (reported only if they carry
+  // traffic of their own).
+  std::set<std::string> interior;
   Hfsc* hfsc = nullptr;         // non-null when the family is H-FSC
   // Current name -> id (starts as `ids`; timed creates/deletes move it).
   std::map<std::string, ClassId> live;
@@ -854,11 +856,15 @@ ScenarioResult run_scenario(const Scenario& sc,
   ScenarioResult out;
   for (const ScenarioNode& n : sc.nodes) {
     NodeRun nr;
-    nr.spec = sc.node_hierarchy_spec(n.name);
+    const HierarchySpec spec = sc.node_hierarchy_spec(n.name);
     HierarchySpec::CompileOptions copts;
     copts.audit_every = opts.audit_every;
     copts.admission = admission;
-    HierarchySpec::Compiled compiled = nr.spec.compile(kind, n.rate, copts);
+    HierarchySpec::Compiled compiled = spec.compile(kind, n.rate, copts);
+    const std::vector<bool> leaf = spec.leaf_mask();
+    for (std::size_t i = 0; i < leaf.size(); ++i) {
+      if (!leaf[i]) nr.interior.insert(spec.classes[i].name);
+    }
     nr.hfsc = compiled.hfsc;
     nr.ids = std::move(compiled.ids);
     nr.idx = topo.add_node(n.name, n.rate, std::move(compiled.sched));
@@ -1114,7 +1120,7 @@ ScenarioResult run_scenario(const Scenario& sc,
       const auto hit = nr.history.find(cname);
       if (hit == nr.history.end() || hit->second.empty()) return;  // dropped
       const std::vector<ClassId>& ids = hit->second;
-      const bool leaf = nr.spec.is_leaf(cname) ||
+      const bool leaf = !nr.interior.contains(cname) ||
                         nr.ids.find(cname) == nr.ids.end();
       const bool any_data = std::any_of(ids.begin(), ids.end(),
                                         [&](ClassId id) { return t.has(id); });
